@@ -7,8 +7,10 @@ type stats = { trees : int; nodes : int; keys : int; postings : int; bytes : int
    container (built indexes and SIDX3 files), [V2] the flat SIDX2 body
    (kept decodable so old files load without a rebuild), [V4] the SIDX4
    interval container whose entries are (tid, pre) names resolved against
-   the corpus store at decode time. *)
-type enc = V2 | V3 | V4
+   the corpus store at decode time.  [Unpacked] slots hold no bytes:
+   {!append} keeps their posting in [decoded] only, and the checkpoint's
+   {!merge_append} packs it. *)
+type enc = V2 | V3 | V4 | Unpacked
 
 (* A slot holds the packed bytes of one posting — a slice of [src] — and
    memoizes its decoded form on first access.  [src] is either a
@@ -79,17 +81,21 @@ let interval_of doc v =
     level = doc.Annotated.level.(v);
   }
 
-(* Accumulate postings for docs.(lo .. hi-1); tids are global, so a shard
-   over a contiguous tid range accumulates exactly the subsequence of the
-   sequential accumulation falling in that range.  The per-key dedups
-   (filter: same tid; root-split: same (tid, root)) never straddle a shard
-   boundary because both compare on the tid. *)
-let build_shard ?label_id ~scheme ~mss docs lo hi =
-  let table = Hashtbl.create 65536 in
+(* Accumulate postings for docs.(lo .. hi-1), numbering docs.(i) as tid
+   [base + i]; tids are global, so a shard over a contiguous tid range
+   accumulates exactly the subsequence of the sequential accumulation
+   falling in that range.  The per-key dedups (filter: same tid;
+   root-split: same (tid, root)) never straddle a shard boundary because
+   both compare on the tid.  The table starts at two buckets per node, so
+   a one-tree insert does not allocate a corpus-sized table. *)
+let build_shard ?label_id ?(base = 0) ~scheme ~mss docs lo hi =
   let nodes = ref 0 in
-  for tid = lo to hi - 1 do
-    let doc = docs.(tid) in
-    nodes := !nodes + Annotated.size doc;
+  for i = lo to hi - 1 do
+    nodes := !nodes + Annotated.size docs.(i)
+  done;
+  let table = Hashtbl.create (min 65536 (2 * !nodes)) in
+  for i = lo to hi - 1 do
+    let tid = base + i and doc = docs.(i) in
     Extract.fold_instances ?label_id doc ~mss ~init:() ~f:(fun () ~key ~nodes:inst ->
         let prev = Hashtbl.find_opt table key in
         let next =
@@ -481,7 +487,8 @@ let decode_slot_unchecked (t : t) key (slot : slot) =
         | V3 -> Coding.unpack_v3 t.scheme ~key_size ~limit:finish slot.src slot.off
         | V4 ->
             Coding.unpack_v4 ~key_size ~resolve:(resolve_exn t) ~limit:finish
-              slot.src slot.off)
+              slot.src slot.off
+        | Unpacked -> (Option.get slot.decoded, finish))
   in
   if consumed <> finish then
     Si_error.raise_corrupt ~path:t.origin ~offset:consumed
@@ -530,7 +537,10 @@ let slot_blocks (t : t) (slot : slot) =
               blen = finish - boff;
               bentries = count;
             };
-          |])
+          |]
+      | Unpacked ->
+          (* one flat block; {!decode_block} returns the held posting *)
+          [| { Coding.first_tid = -1; boff = 0; blen = 0; bentries = slot.entries } |])
 
 let find_blocks (t : t) key =
   match find_slot t key with
@@ -544,7 +554,8 @@ let decode_block (t : t) key (slot : slot) (b : Coding.block) =
       let key_size = Canonical.key_size key in
       match slot.enc with
       | V4 -> Coding.unpack_block_v4 ~key_size ~resolve:(resolve_exn t) slot.src b
-      | V2 | V3 -> Coding.unpack_block t.scheme ~key_size slot.src b)
+      | V2 | V3 -> Coding.unpack_block t.scheme ~key_size slot.src b
+      | Unpacked -> Option.get slot.decoded)
 
 let find (t : t) key = Si_error.guard (fun () -> find_exn t key)
 
@@ -615,6 +626,58 @@ let append_postings path a b =
       Coding.Interval_p (Array.append x y)
   | Coding.Root_p x, Coding.Root_p y -> Coding.Root_p (Array.append x y)
   | _ -> Si_error.raise_schema ~path "merge_append: posting coding mismatch"
+
+(* Insert-time growth (DESIGN.md §13): accumulate only [docs], numbered on
+   from [t]'s tree count, and concatenate each touched key's new entries
+   behind its old posting — still sorted, because every new tid exceeds
+   every old one (the rule {!merge_shards} relies on).  [t] is never
+   mutated: the table is copied, untouched slots are shared, and a reader
+   holding [t] keeps answering from it.  Touched slots stay [Unpacked];
+   {!merge_append} packs them once, at checkpoint. *)
+let append ?label_id (t : t) docs =
+  if t.mapped <> None then invalid_arg "Builder.append: mapped index";
+  let base = t.stats.trees in
+  let shard =
+    build_shard ?label_id ~base ~scheme:t.scheme ~mss:t.mss docs 0
+      (Array.length docs)
+  in
+  let table = Hashtbl.copy t.table in
+  let postings = ref t.stats.postings in
+  Hashtbl.iter
+    (fun key acc ->
+      let fresh = posting_of_acc acc in
+      postings := !postings + Coding.entries fresh;
+      let p =
+        match Hashtbl.find_opt table key with
+        | None -> fresh
+        | Some slot ->
+            let old =
+              match slot.decoded with Some p -> p | None -> decode_slot t key slot
+            in
+            append_postings t.origin old fresh
+      in
+      Hashtbl.replace table key
+        {
+          src = Coding.str "";
+          off = 0;
+          len = 0;
+          entries = Coding.entries p;
+          enc = Unpacked;
+          decoded = Some p;
+        })
+    shard.table;
+  {
+    t with
+    table;
+    stats =
+      {
+        trees = base + Array.length docs;
+        nodes = t.stats.nodes + shard.nodes;
+        keys = Hashtbl.length table;
+        postings = !postings;
+        bytes = 0;
+      };
+  }
 
 (* Checkpoint compaction: fold a delta index (local tids [0 .. K-1]) into
    the main one (tids [0 .. tid_base-1]) as a fresh heap index over
@@ -755,7 +818,8 @@ let converted ~want (t : t) key (slot : slot) =
     (match want with
     | V2 -> Coding.pack buf p
     | V3 -> Coding.pack_v3 buf p
-    | V4 -> Coding.pack_v4 buf p);
+    | V4 -> Coding.pack_v4 buf p
+    | Unpacked -> invalid_arg "Builder: Unpacked is not a container encoding");
     Some (Buffer.contents buf)
   end
 
@@ -1004,7 +1068,8 @@ let load_packed ~enc path s =
     let slot_off = p_start + !post_off in
     let entries =
       match enc with
-      | V2 | V4 -> Coding.packed_entries ~limit:(slot_off + plen) sv slot_off
+      | V2 | V4 | Unpacked ->
+          Coding.packed_entries ~limit:(slot_off + plen) sv slot_off
       | V3 -> Coding.packed_entries_v3 ~limit:(slot_off + plen) sv slot_off
     in
     postings := !postings + entries;

@@ -36,12 +36,14 @@ type stats = {
   bytes : int;  (** flattened size of keys + packed postings *)
 }
 
-type enc = V2 | V3 | V4
+type enc = V2 | V3 | V4 | Unpacked
 (** Container encoding of a slot's bytes: [V3] the block-skip container
     ({!Coding.pack_v3} — built indexes and SIDX3 files), [V2] the flat
     SIDX2 body (loaded from old files, still fully decodable), [V4] the
     SIDX4 interval container ({!Coding.pack_v4} — (tid, pre) names,
-    resolved against the corpus store at decode time). *)
+    resolved against the corpus store at decode time).  [Unpacked] slots
+    ({!append}) have no bytes: the posting lives in [decoded] and presents
+    to the cursor layer as one flat block. *)
 
 type slot = {
   src : Coding.src;  (** backing buffer holding the packed posting bytes *)
@@ -95,6 +97,20 @@ val build :
     are encoded in (default identity) — the WAL delta index is built in
     the stored index's id space so its keys unify with the main postings
     at query and checkpoint time (DESIGN.md §13). *)
+
+val append :
+  ?label_id:(int -> int) -> t -> Si_treebank.Annotated.t array -> t
+(** [append t docs] — the index over [t]'s trees followed by [docs], whose
+    tids continue from [t]'s tree count.  Only [docs] are accumulated;
+    each touched key's new entries are concatenated behind its old
+    posting, untouched slots are shared with [t], and [t] itself is left
+    unchanged (readers holding it keep a consistent snapshot).  Work is
+    the extraction of [docs] plus copying the key table's bindings and
+    the touched postings — no re-extraction of [t]'s trees.  Touched
+    slots are [Unpacked]; [stats.bytes] reads 0 because nothing is packed
+    until {!merge_append} (or a save) encodes the postings.  [label_id]
+    as for {!build}.  Heap indexes only: [Invalid_argument] on a mapped
+    one. *)
 
 val merge_append : ?block_entries:int -> t -> t -> tid_base:int -> t
 (** [merge_append main delta ~tid_base] — checkpoint compaction: a fresh

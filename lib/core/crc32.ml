@@ -1,18 +1,18 @@
+(* Built eagerly at module initialisation: a [lazy] table raises
+   [CamlinternalLazy.Undefined] when two domains force it at once. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 type t = int
 
 let empty = 0xffffffff
 
 let feed_substring crc s pos len =
-  let table = Lazy.force table in
   let crc = ref crc in
   for i = pos to pos + len - 1 do
     crc :=
@@ -25,7 +25,6 @@ let feed_string crc s = feed_substring crc s 0 (String.length s)
 
 let feed_bigsub crc (m : (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t)
     pos len =
-  let table = Lazy.force table in
   let crc = ref crc in
   for i = pos to pos + len - 1 do
     crc :=

@@ -19,13 +19,18 @@ let space_of_names names =
    by adding the main index's tree count. *)
 type delta = {
   d_docs : Annotated.t array;
-  d_index : Builder.t option;  (* [None] iff [d_docs] is empty *)
+  d_index : Builder.t;  (* heap index over [d_docs], grown by {!Builder.append} *)
   d_corpus : Corpus.t;
   d_space : space;
 }
 
-let empty_delta space =
-  { d_docs = [||]; d_index = None; d_corpus = Corpus.of_array [||]; d_space = space }
+let empty_delta ~scheme ~mss space =
+  {
+    d_docs = [||];
+    d_index = Builder.build ~scheme ~mss [||];
+    d_corpus = Corpus.of_array [||];
+    d_space = space;
+  }
 
 (* Self-healing integrity state (DESIGN.md §15).  One record per handle,
    shared by functional copies ([{ t with ... }]): the quarantine flag is
@@ -227,7 +232,10 @@ let save ?(format = `Sidx3) ?labels t prefix trees =
    snapshots, so a racing publish can only turn Not_found into a valid id,
    never change one. *)
 let make_handle ~index ~corpus ~cache ~prefix space =
-  let delta = Atomic.make (empty_delta space) in
+  let delta =
+    Atomic.make
+      (empty_delta ~scheme:index.Builder.scheme ~mss:index.Builder.mss space)
+  in
   let label_id l =
     match Hashtbl.find_opt (Atomic.get delta).d_space.ids (Label.name l) with
     | Some id -> id
@@ -346,10 +354,12 @@ let extend_space space docs =
   | l -> space_of_names (Array.append space.names (Array.of_list (List.rev l)))
 
 (* A fresh snapshot with [new_docs] appended: the space grows first, then
-   the delta index is rebuilt over all delta docs *in the extended space*
-   — its keys byte-unify with the main index's stored-space keys, so
-   query-time union and checkpoint merge need no translation. *)
-let delta_with ~scheme ~mss d new_docs =
+   only [new_docs] are indexed *in the extended space* and appended to
+   the delta index ({!Builder.append}) — its keys byte-unify with the main
+   index's stored-space keys, so query-time union and checkpoint merge
+   need no translation.  The previous snapshot is left intact for readers
+   still holding it. *)
+let delta_with d new_docs =
   if Array.length new_docs = 0 then d
   else begin
     let d_docs = Array.append d.d_docs new_docs in
@@ -359,10 +369,9 @@ let delta_with ~scheme ~mss d new_docs =
       | Some id -> id
       | None -> raise Not_found
     in
-    let d_index = Builder.build ~scheme ~mss ~label_id d_docs in
     {
       d_docs;
-      d_index = Some d_index;
+      d_index = Builder.append ~label_id d.d_index new_docs;
       d_corpus = Corpus.of_array d_docs;
       d_space;
     }
@@ -374,8 +383,9 @@ let delta_with ~scheme ~mss d new_docs =
    must continue the numbering without a gap.  Replaying twice is
    therefore byte-identical to replaying once. *)
 let replay_wal t prefix =
-  let scheme = t.index.Builder.scheme and mss = t.index.Builder.mss in
-  match Wal.replay ~scheme ~mss prefix with
+  match
+    Wal.replay ~scheme:t.index.Builder.scheme ~mss:t.index.Builder.mss prefix
+  with
   | [] -> ()
   | records ->
       let expected = ref (Corpus.length t.corpus) in
@@ -393,10 +403,7 @@ let replay_wal t prefix =
                    "WAL record tid %d leaves a gap after tree %d" tid !expected))
           records
       in
-      if fresh <> [] then
-        Atomic.set t.delta
-          (delta_with ~scheme ~mss (Atomic.get t.delta)
-             (Array.of_list fresh))
+      Atomic.set t.delta (delta_with (Atomic.get t.delta) (Array.of_list fresh))
 
 let open_ ?cache_budget prefix =
   Si_error.guard @@ fun () ->
@@ -500,8 +507,9 @@ let wal_handle t prefix =
       t.wal := Some w;
       w
 
-(* Durability before visibility: every tree is framed and fsync'd into the
-   WAL, then one [Atomic.set] publishes the extended snapshot to readers.
+(* Durability before visibility: the call's trees are framed, written and
+   fsync'd into the WAL as one group commit, then one [Atomic.set]
+   publishes the extended snapshot to readers.
    A crash between the two replays the records at the next open — the same
    state, reached the other way.  Tids are global ([main trees + delta
    position]), which is what makes replay and the checkpoint/truncate
@@ -513,12 +521,9 @@ let insert t trees =
   let d = Atomic.get t.delta in
   let base = Corpus.length t.corpus + Array.length d.d_docs in
   (if trees <> [] then begin
-     let w = wal_handle t prefix in
-     List.iteri (fun i tree -> Wal.append w ~tid:(base + i) tree) trees;
-     let docs = Array.of_list (List.map Annotated.of_tree trees) in
+     Wal.append (wal_handle t prefix) ~tid:base trees;
      Atomic.set t.delta
-       (delta_with ~scheme:t.index.Builder.scheme ~mss:t.index.Builder.mss d
-          docs)
+       (delta_with d (Array.of_list (List.map Annotated.of_tree trees)))
    end);
   base + List.length trees
 
@@ -536,8 +541,8 @@ let checkpoint t =
   let prefix = require_prefix t "checkpoint" in
   Mutex.protect t.ilock @@ fun () ->
   let d = Atomic.get t.delta in
-  match d.d_index with
-  | None ->
+  match Array.length d.d_docs with
+  | 0 ->
       (* nothing pending — but a crash between a checkpoint's publish and
          its truncate leaves a WAL whose every record the main index
          already covers (replay skipped them all).  Converge by dropping
@@ -549,9 +554,9 @@ let checkpoint t =
          let w = wal_handle t prefix in
          Wal.truncate w);
       0
-  | Some d_index ->
+  | pending ->
       let base = Corpus.length t.corpus in
-      let merged = Builder.merge_append t.index d_index ~tid_base:base in
+      let merged = Builder.merge_append t.index d.d_index ~tid_base:base in
       let main_docs = Corpus.to_array t.corpus in
       let all_docs = Array.append main_docs d.d_docs in
       let all_trees =
@@ -568,7 +573,7 @@ let checkpoint t =
          raise (Si_error.Error (Si_error.Io { path = prefix; what })));
       let w = wal_handle t prefix in
       Wal.truncate w;
-      Array.length d.d_docs
+      pending
 
 let close_wal t =
   Mutex.protect t.ilock (fun () ->
@@ -708,9 +713,8 @@ let integrity t =
 
 let delta_arg t =
   let d = Atomic.get t.delta in
-  match d.d_index with
-  | None -> None
-  | Some di -> Some (di, d.d_corpus, Corpus.length t.corpus)
+  if Array.length d.d_docs = 0 then None
+  else Some (d.d_index, d.d_corpus, Corpus.length t.corpus)
 
 (* ---- integrity quarantine + corpus fallback (DESIGN.md §15) ------------- *)
 

@@ -152,23 +152,32 @@ let open_append ~scheme ~mss prefix =
     (try Unix.close fd with _ -> ());
     raise e
 
-let append t ~tid tree =
+(* Group commit: every record of one call is framed into one buffer,
+   written with one [write_full] and made durable by one fsync.  A crash
+   mid-write leaves a whole-frame prefix followed by a torn frame, which
+   {!scan} stops at — the same state a crash between separate appends
+   leaves. *)
+let append t ~tid trees =
   if t.closed then invalid_arg "Wal.append: closed handle";
   if tid < 0 then invalid_arg "Wal.append: negative tid";
-  let b = Buffer.create 256 in
-  Varint.write b tid;
-  Buffer.add_string b (Tree.to_string tree);
-  let payload = Buffer.contents b in
-  let frame = Buffer.create (String.length payload + 8) in
-  add_u32 frame (String.length payload);
-  add_u32 frame (Crc32.string payload);
-  Buffer.add_string frame payload;
-  let bytes = Buffer.contents frame in
+  let frames = Buffer.create 256 in
+  let payload = Buffer.create 256 in
+  List.iteri
+    (fun i tree ->
+      Buffer.clear payload;
+      Varint.write payload (tid + i);
+      Buffer.add_string payload (Tree.to_string tree);
+      let p = Buffer.contents payload in
+      add_u32 frames (String.length p);
+      add_u32 frames (Crc32.string p);
+      Buffer.add_string frames p)
+    trees;
+  let bytes = Buffer.contents frames in
   Failpoint.hit "wal.append.write";
   io_guard t.wpath (fun () -> write_full t.fd bytes);
   Failpoint.hit "wal.append.fsync";
   io_guard t.wpath (fun () -> Unix.fsync t.fd);
-  t.n_records <- t.n_records + 1;
+  t.n_records <- t.n_records + List.length trees;
   t.size <- t.size + String.length bytes
 
 let records t = t.n_records

@@ -4,7 +4,8 @@
     inserted since the last checkpoint.  The log is append-only and
     self-describing: an 8-byte header binds it to the index's coding
     scheme and [mss], and each record is an independently CRC-framed
-    [(global tid, Penn text)] pair, fsync'd before {!append} returns.
+    [(global tid, Penn text)] pair, fsync'd before {!append} returns
+    (one fsync per call, however many records it frames).
 
     Global tids make replay idempotent: a record whose tid is already
     covered by the main index is skipped, so replaying the same log twice
@@ -38,10 +39,14 @@ val open_append : scheme:Coding.scheme -> mss:int -> string -> t
     if absent.  Validates the header like {!replay}, truncates a torn
     tail, and positions at the end of the last intact record. *)
 
-val append : t -> tid:int -> Si_treebank.Tree.t -> unit
-(** Frame, write and fsync one record.  The record is durable when
-    [append] returns.  Failpoints: [wal.append.write] before the frame
-    is written, [wal.append.fsync] between write and fsync. *)
+val append : t -> tid:int -> Si_treebank.Tree.t list -> unit
+(** [append t ~tid trees] frames [trees] as records with consecutive tids
+    [tid, tid+1, ...], writes them in one write and makes them durable
+    with one fsync (group commit).  Every record is durable when [append]
+    returns; a crash during the write leaves a whole-frame prefix of the
+    batch, which {!replay} accepts.  Failpoints: [wal.append.write]
+    before the batch is written, [wal.append.fsync] between write and
+    fsync. *)
 
 val records : t -> int
 (** Intact records in the log (replayed count plus appends). *)

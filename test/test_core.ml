@@ -229,18 +229,26 @@ let prop_parallel_byte_identical =
                 save_exn (Builder.build ~domains:1 ~scheme ~mss d) p;
                 read_file p)
           in
+          let same how b =
+            let bytes = with_temp (fun p -> save_exn b p; read_file p) in
+            if not (String.equal reference bytes) then
+              QCheck.Test.fail_reportf
+                "%s build differs from sequential (%s, mss=%d, seed=%d)" how
+                (Coding.scheme_to_string scheme) mss seed
+          in
           List.iter
             (fun domains ->
-              let bytes =
-                with_temp (fun p ->
-                    save_exn (Builder.build ~domains ~scheme ~mss d) p;
-                    read_file p)
-              in
-              if not (String.equal reference bytes) then
-                QCheck.Test.fail_reportf
-                  "%d-domain build differs from sequential (%s, mss=%d, seed=%d)"
-                  domains (Coding.scheme_to_string scheme) mss seed)
-            [ 2; 4 ])
+              same (Printf.sprintf "%d-domain" domains)
+                (Builder.build ~domains ~scheme ~mss d))
+            [ 2; 4 ];
+          (* the insert path: a build of the first trees grown by two
+             appends (the second one concatenating onto unpacked slots) *)
+          same "appended"
+            (Builder.append
+               (Builder.append
+                  (Builder.build ~scheme ~mss (Array.sub d 0 20))
+                  (Array.sub d 20 1))
+               (Array.sub d 21 29)))
         [ Coding.Filter; Coding.Interval; Coding.Root_split ];
       true)
 

@@ -127,9 +127,7 @@ let biggest_key b =
   | Some ((key, p), _) -> (key, p)
   | None -> Alcotest.fail "empty index"
 
-let test_cursor_walk_and_seek () =
-  let d = docs (corpus 120 73) in
-  let b = Builder.build ~block_entries:4 ~scheme:Coding.Filter ~mss:2 d in
+let check_cursor_walk b =
   let key, posting = biggest_key b in
   let tids = posting_tids posting in
   Alcotest.(check bool) "posting spans multiple blocks" true
@@ -174,6 +172,16 @@ let test_cursor_walk_and_seek () =
       Alcotest.(check (option int)) "monotone reseek" (Some t) (Cursor.peek cur))
     tids;
   Alcotest.(check bool) "cursor absent key" true (Cursor.create b "\xff\xff" = None)
+
+(* a blocked build, and the same corpus grown by {!Builder.append}, whose
+   unpacked postings present to the cursor as one flat block *)
+let test_cursor_walk_and_seek () =
+  let d = docs (corpus 120 73) in
+  check_cursor_walk (Builder.build ~block_entries:4 ~scheme:Coding.Filter ~mss:2 d);
+  check_cursor_walk
+    (Builder.append
+       (Builder.build ~scheme:Coding.Filter ~mss:2 (Array.sub d 0 50))
+       (Array.sub d 50 70))
 
 (* ---- streaming differential: blocked + cached = full decode = oracle --- *)
 

@@ -76,7 +76,7 @@ let test_wal_roundtrip () =
   with_prefix "rt" (fun p ->
       let trees = corpus 5 3 in
       let w = Wal.open_append ~scheme:Coding.Root_split ~mss:3 p in
-      List.iteri (fun i t -> Wal.append w ~tid:(10 + i) t) trees;
+      Wal.append w ~tid:10 trees;
       Alcotest.(check int) "records" 5 (Wal.records w);
       Alcotest.(check bool) "bytes past header" true (Wal.bytes w > 8);
       Wal.close w;
@@ -99,7 +99,7 @@ let test_wal_roundtrip () =
       (* reopen positions after the last intact record *)
       let w = Wal.open_append ~scheme:Coding.Root_split ~mss:3 p in
       Alcotest.(check int) "reopen counts records" 5 (Wal.records w);
-      Wal.append w ~tid:15 (List.hd trees);
+      Wal.append w ~tid:15 [ List.hd trees ];
       Wal.close w;
       Alcotest.(check int) "append after reopen" 6
         (List.length (Wal.replay ~scheme:Coding.Root_split ~mss:3 p));
@@ -111,7 +111,7 @@ let test_wal_torn_tail () =
   with_prefix "torn" (fun p ->
       let trees = corpus 3 5 in
       let w = Wal.open_append ~scheme:Coding.Interval ~mss:2 p in
-      List.iteri (fun i t -> Wal.append w ~tid:i t) trees;
+      Wal.append w ~tid:0 trees;
       Wal.close w;
       let intact = (Unix.stat (Wal.path p)).Unix.st_size in
       (* a crash mid-append leaves a partial frame: tolerated, not fatal *)
@@ -122,7 +122,7 @@ let test_wal_torn_tail () =
       Alcotest.(check int) "open_append truncates the torn tail" intact
         (Wal.bytes w);
       Alcotest.(check int) "records preserved" 3 (Wal.records w);
-      Wal.append w ~tid:3 (List.hd trees);
+      Wal.append w ~tid:3 [ List.hd trees ];
       Wal.close w;
       Alcotest.(check int) "appendable after truncation" 4
         (List.length (Wal.replay ~scheme:Coding.Interval ~mss:2 p));
@@ -296,7 +296,7 @@ let test_checkpoint_crash_windows () =
           (* a tid gap is corruption, not a skippable artifact *)
           let w = Wal.open_append ~scheme:Coding.Root_split ~mss:3 p in
           Wal.truncate w;
-          Wal.append w ~tid:36 (List.hd extra);
+          Wal.append w ~tid:36 [ List.hd extra ];
           Wal.close w;
           match Si.open_ p with
           | Error (Si_error.Corrupt _) -> ()
@@ -352,6 +352,27 @@ let containers =
     (Coding.Root_split, `Sidx4);
   ]
 
+(* Split [l] into consecutive non-empty chunks of the given sizes. *)
+let rec chunks sizes l =
+  match sizes with
+  | [] -> []
+  | k :: rest ->
+      List.filteri (fun i _ -> i < k) l
+      :: chunks rest (List.filteri (fun i _ -> i >= k) l)
+
+(* Random chunk sizes summing to [k], each in [1, k]. *)
+let random_split rng k =
+  let rec go left =
+    if left = 0 then []
+    else
+      let c = 1 + Random.State.int rng left in
+      c :: go (left - c)
+  in
+  go k
+
+(* Every way of feeding [extra] through the WAL — one batch, one tree per
+   call, random splits — answers like a rebuild live, after replay and
+   after checkpoint, and the checkpoint publishes the same [.idx] bytes. *)
 let prop_incremental_equals_rebuild =
   QCheck.Test.make ~name:"insert-then-query = rebuild-then-query" ~count:5
     QCheck.(triple (int_range 10 40) (int_range 1 8) small_nat)
@@ -363,35 +384,111 @@ let prop_incremental_equals_rebuild =
               (Coding.scheme_to_string scheme)
               (match format with `Sidx3 -> "heap" | `Sidx4 -> "mapped")
           in
-          with_prefix "diff" (fun p ->
-              let base = corpus n (seed + 1) in
-              let extra = corpus k (seed + 101) in
-              ignore
-                (Si.build ~scheme ~mss:3 ~format ~trees:base ~prefix:p ());
-              let si = ok_exn "open" (Si.open_ p) in
-              if ok_exn "insert" (Si.insert si extra) <> n + k then
-                QCheck.Test.fail_reportf "%s: insert total wrong" tag;
-              Si.close_wal si;
-              let reopened = ok_exn "reopen" (Si.open_ p) in
-              let full =
-                Si.build ~scheme ~mss:3 ~trees:(base @ extra) ()
-              in
-              List.iter
-                (fun q ->
-                  let want = ok_exn "rebuild" (Si.query full q) in
-                  let live = ok_exn "live" (Si.query si q) in
-                  let repl = ok_exn "replayed" (Si.query reopened q) in
-                  if live <> want then
-                    QCheck.Test.fail_reportf
-                      "%s: %s: live insert diverges from rebuild (%d vs %d)"
-                      tag q (List.length live) (List.length want);
-                  if repl <> want then
-                    QCheck.Test.fail_reportf
-                      "%s: %s: WAL replay diverges from rebuild (%d vs %d)"
-                      tag q (List.length repl) (List.length want))
-                query_strings))
+          let base = corpus n (seed + 1) in
+          let extra = corpus k (seed + 101) in
+          let full = Si.build ~scheme ~mss:3 ~trees:(base @ extra) () in
+          let want =
+            List.map (fun q -> (q, ok_exn "rebuild" (Si.query full q))) query_strings
+          in
+          let agree what si =
+            List.iter
+              (fun (q, want) ->
+                let got = ok_exn what (Si.query si q) in
+                if got <> want then
+                  QCheck.Test.fail_reportf
+                    "%s: %s: %s diverges from rebuild (%d vs %d)" tag q what
+                    (List.length got) (List.length want))
+              want
+          in
+          (* insert [extra] in calls of [sizes] trees, check every view,
+             and return the [.idx] the checkpoint publishes *)
+          let checkpointed_idx sizes =
+            with_prefix "diff" (fun p ->
+                ignore (Si.build ~scheme ~mss:3 ~format ~trees:base ~prefix:p ());
+                let si = ok_exn "open" (Si.open_ p) in
+                let total =
+                  List.fold_left
+                    (fun _ call -> ok_exn "insert" (Si.insert si call))
+                    0 (chunks sizes extra)
+                in
+                if total <> n + k then
+                  QCheck.Test.fail_reportf "%s: insert total wrong" tag;
+                agree "live insert" si;
+                Si.close_wal si;
+                agree "WAL replay" (ok_exn "reopen" (Si.open_ p));
+                ignore (ok_exn "checkpoint" (Si.checkpoint si));
+                Si.close_wal si;
+                agree "checkpoint" (ok_exn "reopen" (Si.open_ p));
+                read_file (p ^ ".idx"))
+          in
+          let batch = checkpointed_idx [ k ] in
+          List.iter
+            (fun (how, sizes) ->
+              if checkpointed_idx sizes <> batch then
+                QCheck.Test.fail_reportf
+                  "%s: .idx after %s inserts differs from one batch" tag how)
+            [
+              ("one-at-a-time", List.init k (fun _ -> 1));
+              ("randomly split", random_split (Random.State.make [| seed |]) k);
+            ])
         containers;
       true)
+
+(* A reader domain querying while the writer inserts one tree per call
+   sees, in every answer, exactly the corpus base + the first j inserted
+   trees for some j, and j never decreases: each insert publishes one
+   whole snapshot, and a reader never sees a later one and then an
+   earlier one. *)
+let test_snapshot_isolation () =
+  List.iter
+    (fun (scheme, format) ->
+      with_prefix "iso" (fun p ->
+          let base = corpus 30 61 and extra = corpus 24 62 in
+          let n = List.length base and k = List.length extra in
+          ignore (Si.build ~scheme ~mss:3 ~format ~trees:base ~prefix:p ());
+          let si = ok_exn "open" (Si.open_ p) in
+          let docs = Array.of_list (List.map Annotated.of_tree (base @ extra)) in
+          let queries = Array.of_list query_strings in
+          (* want.(j).(i): query i over base + the first j inserted trees *)
+          let want =
+            Array.init (k + 1) (fun j ->
+                Array.map
+                  (fun q ->
+                    Si_query.Matcher.corpus_roots (Array.sub docs 0 (n + j))
+                      (Si_query.Parser.parse_exn q))
+                  queries)
+          in
+          let writer_done = Atomic.make false in
+          let reader =
+            Domain.spawn (fun () ->
+                let j = ref 0 and answers = ref 0 and last_round = ref false in
+                while not !last_round do
+                  (* a round begun after the writer finished sees every tree *)
+                  last_round := Atomic.get writer_done;
+                  Array.iteri
+                    (fun i q ->
+                      let got = ok_exn "reader query" (Si.query si q) in
+                      let rec first_from x =
+                        if x > k then
+                          Alcotest.failf
+                            "%s: answer (%d matches) is no snapshot at or after                              %d inserts"
+                            q (List.length got) !j
+                        else if want.(x).(i) = got then x
+                        else first_from (x + 1)
+                      in
+                      j := first_from !j;
+                      incr answers)
+                    queries
+                done;
+                (!j, !answers))
+          in
+          List.iter (fun tree -> ignore (ok_exn "insert" (Si.insert si [ tree ]))) extra;
+          Atomic.set writer_done true;
+          let j, answers = Domain.join reader in
+          Si.close_wal si;
+          Alcotest.(check bool) "reader answered" true (answers > 0);
+          Alcotest.(check int) "last round sees every insert" k j))
+    [ (Coding.Root_split, `Sidx4); (Coding.Filter, `Sidx3) ]
 
 let suite =
   [
@@ -409,4 +506,6 @@ let suite =
     Alcotest.test_case "insert: durability windows around the fsync" `Quick
       test_insert_durable_before_ack;
     qcheck prop_incremental_equals_rebuild;
+    Alcotest.test_case "insert: readers see whole snapshots, in order" `Quick
+      test_snapshot_isolation;
   ]
