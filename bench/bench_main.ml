@@ -2,8 +2,8 @@
    that measures, on a seeded PCFG corpus,
 
    - build throughput (trees/s) per coding at 1 / 2 / 4 domains,
-   - on-disk index bytes, SIDX3 vs the SIDX2 and SIDX1 baselines,
-   - index load (open) time, lazy SIDX3 vs eager SIDX1,
+   - on-disk SIDX4 index bytes against the in-memory postings,
+   - index open time (the O(1) map) and the warm query guard,
    - per-coding query latency quantiles (bechamel samples), on both the
      serving path (block-skip streaming through a warm decode cache) and
      the full-decode reference path,
@@ -211,22 +211,17 @@ let () =
         domain_counts)
     schemes;
 
-  (* index size: SIDX3 vs the SIDX2 and SIDX1 baselines; load: lazy vs eager *)
+  (* index size: the SIDX4 file against the in-memory v3-packed postings
+     it was written from; load: the O(1) map of that file *)
   let index_entries = ref [] in
   let load_entries = ref [] in
   List.iter
     (fun scheme ->
       let b = Hashtbl.find built scheme in
       let name = Si_core.Coding.scheme_to_string scheme in
-      let p4 = Filename.concat tmp (name ^ ".v4.idx") in
-      let p3 = Filename.concat tmp (name ^ ".idx") in
-      let p2 = Filename.concat tmp (name ^ ".v2.idx") in
-      let p1 = Filename.concat tmp (name ^ ".v1.idx") in
-      ok_exn (Si_core.Builder.save_v4 b p4);
-      ok_exn (Si_core.Builder.save b p3);
-      ok_exn (Si_core.Builder.save_v2 b p2);
-      ok_exn (Si_core.Builder.save_v1 b p1);
-      Hashtbl.replace idx_bytes scheme (file_size p3);
+      let p4 = Filename.concat tmp (name ^ ".idx") in
+      ok_exn (Si_core.Builder.save b p4);
+      Hashtbl.replace idx_bytes scheme (file_size p4);
       let s = b.Si_core.Builder.stats in
       index_entries :=
         J.Obj
@@ -235,83 +230,56 @@ let () =
             ("keys", J.Int s.Si_core.Builder.keys);
             ("postings", J.Int s.Si_core.Builder.postings);
             ("bytes_sidx4", J.Int (file_size p4));
-            ("bytes_sidx3", J.Int (file_size p3));
-            ("bytes_sidx2", J.Int (file_size p2));
-            ("bytes_sidx1", J.Int (file_size p1));
+            ("bytes_in_memory", J.Int s.Si_core.Builder.bytes);
           ]
         :: !index_entries;
-      let _, t3 = time_best ~repeat:5 (fun () -> ok_exn (Si_core.Builder.load p3)) in
-      let _, t1 = time_best ~repeat:5 (fun () -> ok_exn (Si_core.Builder.load p1)) in
-      Printf.eprintf
-        "size %-10s: sidx4=%d sidx3=%d sidx2=%d sidx1=%d bytes; load lazy=%.4fs eager=%.4fs\n%!"
-        name (file_size p4) (file_size p3) (file_size p2) (file_size p1) t3 t1;
+      let _, t4 = time_best ~repeat:5 (fun () -> ok_exn (Si_core.Builder.load p4)) in
+      Printf.eprintf "size %-10s: sidx4=%d bytes (in-memory %d); map=%.4fs\n%!" name
+        (file_size p4) s.Si_core.Builder.bytes t4;
       load_entries :=
-        J.Obj
-          [
-            ("scheme", J.Str name);
-            ("sidx3_lazy_seconds", J.Float t3);
-            ("sidx1_eager_seconds", J.Float t1);
-          ]
+        J.Obj [ ("scheme", J.Str name); ("sidx4_map_seconds", J.Float t4) ]
         :: !load_entries)
     schemes;
 
-  (* open latency, SIDX1/2/3/4 x coding: the raw .idx parse/map at the
-     Builder layer, and the end-to-end [Si.open_] (siblings included —
-     the .dat parse SIDX3 pays, the .trees map SIDX4 pays instead) for
-     the two formats [Si.save] can persist.  The warm-battery p50 beside
-     it is the query-latency guard: the mapped backend must stay within
-     sight of the heap one once caches are warm. *)
+  (* open latency per coding: the raw .idx map at the Builder layer and the
+     end-to-end [Si.open_] (the .trees map included).  The warm-battery
+     p50s beside it are the query-latency guard: the mapped handle must
+     stay within sight of the in-memory one once caches are warm. *)
   let open_entries = ref [] in
+  let opened = Hashtbl.create 4 in
   List.iter
     (fun scheme ->
       let name = Si_core.Coding.scheme_to_string scheme in
-      let idx v = Filename.concat tmp (name ^ v) in
-      let load_ms p =
-        let _, t = time_best ~repeat:5 (fun () -> ok_exn (Si_core.Builder.load p)) in
-        1000. *. t
-      in
-      let full3 = Filename.concat tmp (name ^ "-full3") in
       let full4 = Filename.concat tmp (name ^ "-full4") in
-      ignore (Si_core.Si.build ~scheme ~mss ~trees ~prefix:full3 ());
-      ignore (Si_core.Si.build ~format:`Sidx4 ~scheme ~mss ~trees ~prefix:full4 ());
-      let open3, t3 = time_best ~repeat:5 (fun () -> ok_exn (Si_core.Si.open_ full3)) in
+      let mem = Si_core.Si.build ~scheme ~mss ~trees ~prefix:full4 () in
+      let _, t_idx =
+        time_best ~repeat:5 (fun () ->
+            ok_exn (Si_core.Builder.load (full4 ^ ".idx")))
+      in
       let open4, t4 = time_best ~repeat:5 (fun () -> ok_exn (Si_core.Si.open_ full4)) in
+      Hashtbl.replace opened scheme open4;
       let battery si () =
         List.iter (fun q -> ignore (ok_exn (Si_core.Si.query si q))) bench_queries
       in
-      battery open3 ();  (* warm both handles' caches before sampling *)
+      battery mem ();  (* warm both handles' caches before sampling *)
       battery open4 ();
-      let _, p50_3, _, _ =
-        latency_quantiles ~quota ~name:(name ^ "/battery3") (battery open3)
+      let _, p50_mem, _, _ =
+        latency_quantiles ~quota ~name:(name ^ "/battery-memory") (battery mem)
       in
       let _, p50_4, _, _ =
         latency_quantiles ~quota ~name:(name ^ "/battery4") (battery open4)
       in
       Printf.eprintf
-        "open %-10s: idx v1=%.2fms v2=%.2fms v3=%.2fms v4=%.2fms; \
-         full open sidx3=%.2fms sidx4=%.2fms (%.0fx); warm battery p50 \
-         sidx3=%.0fus sidx4=%.0fus\n%!"
-        name
-        (load_ms (idx ".v1.idx"))
-        (load_ms (idx ".v2.idx"))
-        (load_ms (idx ".idx"))
-        (load_ms (idx ".v4.idx"))
-        (1000. *. t3) (1000. *. t4)
-        (if t4 > 0. then t3 /. t4 else Float.nan)
-        (p50_3 /. 1e3) (p50_4 /. 1e3);
+        "open %-10s: idx map=%.2fms full open=%.2fms; warm battery p50 \
+         in-memory=%.0fus sidx4=%.0fus\n%!"
+        name (1000. *. t_idx) (1000. *. t4) (p50_mem /. 1e3) (p50_4 /. 1e3);
       open_entries :=
         J.Obj
           [
             ("scheme", J.Str name);
-            ("sidx1_idx_ms", J.Float (load_ms (idx ".v1.idx")));
-            ("sidx2_idx_ms", J.Float (load_ms (idx ".v2.idx")));
-            ("sidx3_idx_ms", J.Float (load_ms (idx ".idx")));
-            ("sidx4_idx_ms", J.Float (load_ms (idx ".v4.idx")));
-            ("open_sidx3_ms", J.Float (1000. *. t3));
+            ("sidx4_idx_ms", J.Float (1000. *. t_idx));
             ("open_sidx4_ms", J.Float (1000. *. t4));
-            ( "open_speedup",
-              J.Float (if t4 > 0. then t3 /. t4 else Float.nan) );
-            ("warm_battery_p50_sidx3_ns", J.Float p50_3);
+            ("warm_battery_p50_memory_ns", J.Float p50_mem);
             ("warm_battery_p50_sidx4_ns", J.Float p50_4);
           ]
         :: !open_entries)
@@ -319,12 +287,13 @@ let () =
 
   (* post-validation micro-bench: materializing every tree of the corpus
      from the mapped .trees store (offset read + BP scan) vs re-parsing
-     the .dat Penn bracketing — the cost filter/root-split validation and
-     --sentences output pay per candidate tree *)
+     the same trees from Penn bracketing — the cost filter/root-split
+     validation and --sentences output pay per candidate tree *)
   let post_validate_entry =
     let prefix = Filename.concat tmp "interval-full4" in
     let store_path = prefix ^ ".trees" in
-    let dat_path = Filename.concat tmp "interval-full3" ^ ".dat" in
+    let penn_path = Filename.concat tmp "corpus.penn" in
+    Si_treebank.Penn.write_file penn_path trees;
     let _, t_store =
       time_best ~repeat:3 (fun () ->
           let st = Si_core.Treestore.open_ ~relabel:Fun.id store_path in
@@ -336,7 +305,7 @@ let () =
       time_best ~repeat:3 (fun () ->
           List.iter
             (fun t -> ignore (Si_treebank.Annotated.of_tree t))
-            (Si_treebank.Penn.read_file dat_path))
+            (Si_treebank.Penn.read_file penn_path))
     in
     Printf.eprintf
       "post_validate: store decode %.1fus/tree, penn re-parse %.1fus/tree \
@@ -357,9 +326,9 @@ let () =
       ]
   in
 
-  (* query latency quantiles per scheme, over a freshly loaded lazy index:
-     the serving path (block-skip streaming, warm bounded cache) is the
-     headline; the full-decode path is measured beside it as the
+  (* query latency quantiles per scheme, over a freshly opened SIDX4
+     prefix: the serving path (block-skip streaming, warm bounded cache)
+     is the headline; the full-decode path is measured beside it as the
      reference the streaming path must not regress *)
   let query_entries = ref [] in
   let query_p95s = Hashtbl.create 4 in
@@ -367,19 +336,20 @@ let () =
   List.iter
     (fun scheme ->
       let name = Si_core.Coding.scheme_to_string scheme in
-      let index = ok_exn (Si_core.Builder.load (Filename.concat tmp (name ^ ".idx"))) in
+      let si = Hashtbl.find opened scheme in
+      let index = Si_core.Si.index si and corpus = Si_core.Si.corpus si in
       let cache = Si_core.Cursor.create_cache () in
       List.iter
         (fun qstr ->
           let q = Si_query.Parser.parse_exn qstr in
-          let matches = Si_core.Eval.run_exn ~index ~corpus:(Si_core.Corpus.of_array docs) ~cache q in
+          let matches = Si_core.Eval.run_exn ~index ~corpus ~cache q in
           let samples, p50, p95, p99 =
             latency_quantiles ~quota ~name:(name ^ "/" ^ qstr) (fun () ->
-                Si_core.Eval.run_exn ~index ~corpus:(Si_core.Corpus.of_array docs) ~cache q)
+                Si_core.Eval.run_exn ~index ~corpus ~cache q)
           in
           let _, p50_full, _, _ =
             latency_quantiles ~quota ~name:(name ^ "/full/" ^ qstr) (fun () ->
-                Si_core.Eval.run_exn ~index ~corpus:(Si_core.Corpus.of_array docs) q)
+                Si_core.Eval.run_exn ~index ~corpus q)
           in
           let push tbl v =
             Hashtbl.replace tbl scheme

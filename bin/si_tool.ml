@@ -87,18 +87,16 @@ let gen_cmd =
 
 (* ---- build ------------------------------------------------------------- *)
 
+(* SIDX4 is the only container; the flag survives for scripts that name
+   it, and refuses anything else *)
 let format_conv =
   let parse = function
-    | "sidx3" -> Ok `Sidx3
-    | "sidx4" -> Ok `Sidx4
-    | s -> Error (`Msg (Printf.sprintf "unknown format %S (want sidx3 or sidx4)" s))
+    | "sidx4" -> Ok ()
+    | s -> Error (`Msg (Printf.sprintf "unknown format %S (only sidx4 is written)" s))
   in
-  let print ppf f =
-    Format.pp_print_string ppf (match f with `Sidx3 -> "sidx3" | `Sidx4 -> "sidx4")
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun ppf () -> Format.pp_print_string ppf "sidx4")
 
-let build corpus prefix scheme mss domains shards format failpoints =
+let build corpus prefix scheme mss domains shards () failpoints =
   if domains < 1 then begin
     Printf.eprintf "si_tool: --domains must be >= 1 (got %d)\n" domains;
     exit 2
@@ -121,18 +119,16 @@ let build corpus prefix scheme mss domains shards format failpoints =
     | Failure what ->
         fail_si (Si_core.Si_error.Corrupt { path = corpus; offset = 0; what })
   in
-  let fmt_str = match format with `Sidx3 -> "sidx3" | `Sidx4 -> "sidx4" in
   let t0 = Unix.gettimeofday () in
   if shards = 1 then begin
     let si =
-      try Si_core.Si.build ~domains ~format ~scheme ~mss ~trees ~prefix ()
+      try Si_core.Si.build ~domains ~scheme ~mss ~trees ~prefix ()
       with Si_core.Si_error.Error e -> fail_si e
     in
     let dt = Unix.gettimeofday () -. t0 in
     let s = Si_core.Si.stats si in
     Printf.printf
-      "built %s %s index: mss=%d domains=%d trees=%d nodes=%d keys=%d postings=%d idx_bytes=%d (%.2fs)\n"
-      fmt_str
+      "built sidx4 %s index: mss=%d domains=%d trees=%d nodes=%d keys=%d postings=%d idx_bytes=%d (%.2fs)\n"
       (Si_core.Coding.scheme_to_string scheme)
       mss domains s.Si_core.Builder.trees s.Si_core.Builder.nodes
       s.Si_core.Builder.keys s.Si_core.Builder.postings s.Si_core.Builder.bytes
@@ -141,7 +137,7 @@ let build corpus prefix scheme mss domains shards format failpoints =
   else begin
     let sh =
       match
-        Si_core.Si.build_sharded ~domains ~format ~shards ~scheme ~mss ~trees
+        Si_core.Si.build_sharded ~domains ~shards ~scheme ~mss ~trees
           prefix
       with
       | r -> ok_or_fail r
@@ -155,9 +151,8 @@ let build corpus prefix scheme mss domains shards format failpoints =
       Array.fold_left (fun acc si -> acc + f (Si_core.Si.stats si)) 0 hs
     in
     Printf.printf
-      "built sharded %s %s index: shards=%d mss=%d trees=%d nodes=%d keys=%d \
+      "built sharded sidx4 %s index: shards=%d mss=%d trees=%d nodes=%d keys=%d \
        postings=%d idx_bytes=%d (%.2fs)\n"
-      fmt_str
       (Si_core.Coding.scheme_to_string scheme)
       shards mss
       (agg (fun s -> s.Si_core.Builder.trees))
@@ -180,7 +175,8 @@ let corpus_arg =
 
 let prefix_arg =
   Arg.(value & opt string "ix" & info [ "prefix" ] ~docv:"PREFIX"
-         ~doc:"Index file prefix (writes/reads PREFIX.idx, .dat, .labels, .meta).")
+         ~doc:"Index file prefix (writes/reads PREFIX.idx, .trees, .labels, .meta, \
+               and PREFIX.wal once trees are inserted).")
 
 let build_cmd =
   let scheme =
@@ -196,10 +192,9 @@ let build_cmd =
                  identical to a sequential build).")
   in
   let format =
-    Arg.(value & opt format_conv `Sidx3 & info [ "format" ] ~docv:"FMT"
-           ~doc:"On-disk container: $(b,sidx3) (default, eager checksummed \
-                 load) or $(b,sidx4) (mmap-resident, O(1) open, writes the \
-                 PREFIX.trees corpus store alongside).")
+    Arg.(value & opt format_conv () & info [ "format" ] ~docv:"FMT"
+           ~doc:"On-disk container; only $(b,sidx4) (mmap-resident, O(1) \
+                 open) is accepted.")
   in
   let shards =
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
@@ -988,7 +983,7 @@ let stats_sharded prefix sh =
         "  shard %d: backend=%s trees=%d keys=%d postings=%d idx_bytes=%d \
          pending=%d\n"
         i
-        (match Si_core.Si.format si with `Sidx4 -> "mapped" | `Sidx3 -> "heap")
+        (Si_serve.Metrics.backend_str si)
         s.Si_core.Builder.trees s.Si_core.Builder.keys
         s.Si_core.Builder.postings s.Si_core.Builder.bytes
         (Si_core.Si.pending si))
@@ -1007,7 +1002,7 @@ let stats prefix json =
   Printf.printf "scheme=%s mss=%d backend=%s trees=%d nodes=%d keys=%d postings=%d idx_bytes=%d\n"
     (Si_core.Coding.scheme_to_string (Si_core.Si.scheme si))
     (Si_core.Si.mss si)
-    (match Si_core.Si.format si with `Sidx4 -> "mapped" | `Sidx3 -> "heap")
+    (Si_serve.Metrics.backend_str si)
     s.Si_core.Builder.trees s.Si_core.Builder.nodes
     s.Si_core.Builder.keys s.Si_core.Builder.postings s.Si_core.Builder.bytes;
   (let pending, wal_bytes = wal_debt (Si_core.Si.Single si) prefix in
@@ -1084,9 +1079,7 @@ let openbench prefix repeat query =
     match h with
     | Si_core.Si.Single si ->
         let s = Si_core.Si.stats si in
-        ( (match Si_core.Si.format si with
-          | `Sidx4 -> "mapped"
-          | `Sidx3 -> "heap"),
+        ( Si_serve.Metrics.backend_str si,
           s.Si_core.Builder.trees,
           s.Si_core.Builder.keys )
     | Si_core.Si.Sharded sh ->

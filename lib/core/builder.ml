@@ -4,19 +4,17 @@ open Si_subtree
 type stats = { trees : int; nodes : int; keys : int; postings : int; bytes : int }
 
 (* Which container encoding the slot's bytes use: [V3] is the block-skip
-   container (built indexes and SIDX3 files), [V2] the flat SIDX2 body
-   (kept decodable so old files load without a rebuild), [V4] the SIDX4
-   interval container whose entries are (tid, pre) names resolved against
-   the corpus store at decode time.  [Unpacked] slots hold no bytes:
-   {!append} keeps their posting in [decoded] only, and the checkpoint's
-   {!merge_append} packs it. *)
-type enc = V2 | V3 | V4 | Unpacked
+   container (built indexes, and filter / root-split postings of SIDX4
+   files), [V4] the SIDX4 interval container whose entries are (tid, pre)
+   names resolved against the corpus store at decode time.  [Unpacked]
+   slots hold no bytes: {!append} keeps their posting in [decoded] only,
+   and the checkpoint's {!merge_append} packs it. *)
+type enc = V3 | V4 | Unpacked
 
 (* A slot holds the packed bytes of one posting — a slice of [src] — and
    memoizes its decoded form on first access.  [src] is either a
-   per-posting string (after build), the whole index file (after an
-   SIDX1-3 load), or the mapped SIDX4 file, so loading shares one backing
-   buffer across every slot. *)
+   per-posting string (after build) or the mapped SIDX4 file, so an opened
+   index shares one backing buffer across every slot. *)
 type slot = {
   src : Coding.src;
   off : int;
@@ -60,7 +58,6 @@ type t = {
   table : (string, slot) Hashtbl.t;
   stats : stats;
   origin : string;
-  file_crc : int option;
   mapped : mapped option;
 }
 
@@ -203,7 +200,6 @@ let finalize ?block_entries ~scheme ~mss ~trees merged =
         bytes = !bytes;
       };
     origin = "<memory>";
-    file_crc = None;
     mapped = None;
   }
 
@@ -231,15 +227,10 @@ let build ?(domains = 1) ?block_entries ?label_id ~scheme ~mss docs =
 
 (* ---- format constants --------------------------------------------------- *)
 
-let magic_v4 = "SIDX4\n"
-let magic_v3 = "SIDX3\n"
-let magic = "SIDX2\n"
-let magic_v1 = "SIDX1\n"
+let magic = "SIDX4\n"
 let header_len = 8
-let footer_magic = "SI2F"
-let footer_len = 32
-let footer_magic_v4 = "SI4F"
-let footer_len_v4 = 72
+let footer_magic = "SI4F"
+let footer_len = 72
 let default_key_block = 64
 
 let scheme_byte = function
@@ -426,7 +417,7 @@ let mapped_find_slot (t : t) (m : mapped) key =
 
 (* Sequential sorted walk of every mapped key record, cross-checking the
    key index at each block boundary and the region tilings at the end —
-   the moral equivalent of the SIDX3 load-time pass, run only by the
+   a full structural pass over the directory, run only by the
    tools/save paths that genuinely need every key. *)
 let mapped_iter_slots (t : t) (m : mapped) f =
   ensure_dir_verified t m;
@@ -483,7 +474,6 @@ let decode_slot_unchecked (t : t) key (slot : slot) =
     guard_decode t ~offset:slot.off (fun () ->
         let key_size = Canonical.key_size key in
         match slot.enc with
-        | V2 -> Coding.unpack t.scheme ~key_size ~limit:finish slot.src slot.off
         | V3 -> Coding.unpack_v3 t.scheme ~key_size ~limit:finish slot.src slot.off
         | V4 ->
             Coding.unpack_v4 ~key_size ~resolve:(resolve_exn t) ~limit:finish
@@ -512,9 +502,8 @@ let find_exn (t : t) key =
 
 (* ---- block access (the streaming read path) ----------------------------- *)
 
-(* Layout of a slot as decodable blocks.  A V2 slot's body after the count
-   varint is exactly a flat v3 block, and the v4 container reuses the v3
-   framing, so all encodings present uniformly to the cursor layer. *)
+(* Layout of a slot as decodable blocks.  The v4 container reuses the v3
+   framing, so both encodings present uniformly to the cursor layer. *)
 let slot_blocks (t : t) (slot : slot) =
   ensure_postings_readable t slot;
   let finish = slot.off + slot.len in
@@ -528,16 +517,6 @@ let slot_blocks (t : t) (slot : slot) =
             Si_error.raise_corrupt ~path:t.origin ~offset:slot.off
               "posting entry count disagrees with the key directory";
           blocks
-      | V2 ->
-          let count, boff = Coding.checked_varint ~limit:finish slot.src slot.off in
-          [|
-            {
-              Coding.first_tid = -1;
-              boff;
-              blen = finish - boff;
-              bentries = count;
-            };
-          |]
       | Unpacked ->
           (* one flat block; {!decode_block} returns the held posting *)
           [| { Coding.first_tid = -1; boff = 0; blen = 0; bentries = slot.entries } |])
@@ -554,7 +533,7 @@ let decode_block (t : t) key (slot : slot) (b : Coding.block) =
       let key_size = Canonical.key_size key in
       match slot.enc with
       | V4 -> Coding.unpack_block_v4 ~key_size ~resolve:(resolve_exn t) slot.src b
-      | V2 | V3 -> Coding.unpack_block t.scheme ~key_size slot.src b
+      | V3 -> Coding.unpack_block t.scheme ~key_size slot.src b
       | Unpacked -> Option.get slot.decoded)
 
 let find (t : t) key = Si_error.guard (fun () -> find_exn t key)
@@ -579,7 +558,6 @@ let slots_sorted (t : t) =
       mapped_iter_slots t m (fun k s -> acc := (k, s) :: !acc);
       List.rev !acc
 
-let sorted_keys (t : t) = List.map fst (slots_sorted t)
 
 let iter (t : t) f =
   List.iter
@@ -724,33 +702,14 @@ let merge_append ?block_entries (main : t) (delta : t) ~tid_base =
         bytes = !bytes;
       };
     origin = "<merge>";
-    file_crc = None;
     mapped = None;
   }
 
-(* ---- flattened file ---------------------------------------------------- *)
+(* ---- the SIDX4 file ------------------------------------------------------ *)
 
-(* SIDX3 layout (integrity-checked, see DESIGN.md):
+(* Layout (mmap-resident, see DESIGN.md §12):
 
-     header    "SIDX3\n"  scheme byte (F|I|R)  mss byte          (8 bytes)
-     keydir    varint nkeys, then per key in sorted order:
-                 varint lcp, varint slen, suffix bytes, varint plen
-     postings  the v3 block containers ({!Coding.pack_v3}), concatenated in
-               key order (offsets implied by the cumulative plen)
-     footer    u64le keydir_len | u64le postings_len
-               u32le crc32(header) | u32le crc32(keydir) | u32le crc32(postings)
-               "SI2F"                                            (32 bytes)
-
-   SIDX2 is the same container with flat posting bodies ({!Coding.pack});
-   only the header magic and the posting codec differ, so one reader
-   handles both.  [save] writes to [path ^ ".tmp"], fsyncs, then renames —
-   a crash mid-save never clobbers an existing index.  [load] verifies
-   magic, region lengths and all three checksums before parsing a single
-   record.
-
-   SIDX4 layout (mmap-resident, see DESIGN.md §12):
-
-     header    "SIDX4\n"  scheme byte  mss byte                  (8 bytes)
+     header    "SIDX4\n"  scheme byte (F|I|R)  mss byte          (8 bytes)
      kindex    per key-block a fixed 16-byte record:
                  u64le first-key offset (relative to keydir)
                  u64le first-posting offset (relative to postings)
@@ -760,15 +719,17 @@ let merge_append ?block_entries (main : t) (delta : t) ~tid_base =
                every record ends with varint entries, varint plen
      postings  interval postings as v4 containers ({!Coding.pack_v4} —
                (tid, pre) names, resolved against the .trees store);
-               filter / root-split postings stay v3 containers
+               filter / root-split postings as v3 containers
      footer    u64le nkeys | u64le key_block | u64le kindex_len
                u64le keydir_len | u64le postings_len | u64le reserved(0)
                u32le crc32(header) | u32le crc32(kindex) | u32le crc32(keydir)
                u32le crc32(postings) | u32le crc32(footer before this field)
                "SI4F"                                            (72 bytes)
 
-   Open verifies only the footer and header CRCs (O(1)); kindex + keydir
-   verify on the first find, postings on the first decode. *)
+   [save] writes to [path ^ ".tmp"], fsyncs, then renames — a crash
+   mid-save never clobbers an existing index.  Open verifies only the
+   footer and header CRCs (O(1)); kindex + keydir verify on the first
+   find, postings on the first decode. *)
 
 let common_prefix a b =
   let n = min (String.length a) (String.length b) in
@@ -806,136 +767,37 @@ let with_atomic_out path f =
       cleanup ();
       Error (Si_error.Io { path; what })
 
-(* Re-encode [slot]'s posting in the [want] container; [None] = the slot's
-   own bytes already are that encoding and can be streamed as-is. *)
-let converted ~want (t : t) key (slot : slot) =
-  if slot.enc = want then None
+(* the slot's posting as postings-region bytes: v4 containers for interval
+   postings, v3 containers otherwise — re-encoded only when the slot's own
+   bytes are not already in that container, keeping a blocked v3 slot's
+   block size *)
+let file_bytes (t : t) key (slot : slot) =
+  let want = mapped_enc t in
+  if slot.enc = want then
+    match slot.src with
+    | Coding.Str s when slot.off = 0 && slot.len = String.length s -> s
+    | _ -> Coding.src_sub slot.src slot.off slot.len
   else begin
-    let p =
-      match slot.decoded with Some p -> p | None -> decode_slot t key slot
+    let p = match slot.decoded with Some p -> p | None -> decode_slot t key slot in
+    let block_entries =
+      match (slot.enc, slot_blocks t slot) with
+      | V3, bs when Array.length bs > 1 -> Some bs.(0).Coding.bentries
+      | _ -> None
     in
     let buf = Buffer.create (slot.len + 16) in
     (match want with
-    | V2 -> Coding.pack buf p
-    | V3 -> Coding.pack_v3 buf p
-    | V4 -> Coding.pack_v4 buf p
-    | Unpacked -> invalid_arg "Builder: Unpacked is not a container encoding");
-    Some (Buffer.contents buf)
+    | V4 -> Coding.pack_v4 ?block_entries buf p
+    | _ -> Coding.pack_v3 ?block_entries buf p);
+    Buffer.contents buf
   end
 
-(* Streams records straight to the channel through a small per-record
-   scratch buffer — peak extra memory is one record, not the whole index
-   (plus the re-encoded postings when saving across container versions,
-   and a copied-out postings region when saving a mapped index). *)
-let save_as ~magic ~want (t : t) path =
-  with_atomic_out path (fun oc ->
-      let slots = slots_sorted t in
-      (* cross-version saves need each posting's final length already in the
-         key directory pass, so conversions are computed once and kept *)
-      let conv = Hashtbl.create 16 in
-      let bytes_of key (slot : slot) =
-        match Hashtbl.find_opt conv key with
-        | Some s -> (s, 0, String.length s)
-        | None -> (
-            match converted ~want t key slot with
-            | Some s ->
-                Hashtbl.replace conv key s;
-                (s, 0, String.length s)
-            | None -> (
-                match slot.src with
-                | Coding.Str s -> (s, slot.off, slot.len)
-                | Coding.Map _ ->
-                    let s = Coding.src_sub slot.src slot.off slot.len in
-                    Hashtbl.replace conv key s;
-                    (s, 0, String.length s)))
-      in
-      let header =
-        Printf.sprintf "%s%c%c" magic (scheme_byte t.scheme) (Char.chr t.mss)
-      in
-      output_string oc header;
-      (* key directory *)
-      let scratch = Buffer.create 256 in
-      let crc_keydir = ref Crc32.empty in
-      let keydir_len = ref 0 in
-      let emit () =
-        let s = Buffer.contents scratch in
-        output_string oc s;
-        crc_keydir := Crc32.feed_string !crc_keydir s;
-        keydir_len := !keydir_len + String.length s;
-        Buffer.clear scratch
-      in
-      Varint.write scratch (List.length slots);
-      emit ();
-      let prev = ref "" in
-      List.iter
-        (fun (key, slot) ->
-          let _, _, plen = bytes_of key slot in
-          (* front-coded key: shared prefix with the previous sorted key *)
-          let lcp = common_prefix !prev key in
-          Varint.write scratch lcp;
-          Varint.write scratch (String.length key - lcp);
-          Buffer.add_substring scratch key lcp (String.length key - lcp);
-          Varint.write scratch plen;
-          emit ();
-          prev := key)
-        slots;
-      (* postings region *)
-      let crc_postings = ref Crc32.empty in
-      let postings_len = ref 0 in
-      List.iter
-        (fun (key, slot) ->
-          let src, off, plen = bytes_of key slot in
-          output_substring oc src off plen;
-          crc_postings := Crc32.feed_substring !crc_postings src off plen;
-          postings_len := !postings_len + plen)
-        slots;
-      (* footer *)
-      Buffer.add_int64_le scratch (Int64.of_int !keydir_len);
-      Buffer.add_int64_le scratch (Int64.of_int !postings_len);
-      Buffer.add_int32_le scratch (Int32.of_int (Crc32.string header));
-      Buffer.add_int32_le scratch (Int32.of_int (Crc32.value !crc_keydir));
-      Buffer.add_int32_le scratch (Int32.of_int (Crc32.value !crc_postings));
-      Buffer.add_string scratch footer_magic;
-      Buffer.output_buffer oc scratch)
-
-let save (t : t) path = save_as ~magic:magic_v3 ~want:V3 t path
-let save_v2 (t : t) path = save_as ~magic ~want:V2 t path
-
-let save_v1 (t : t) path =
-  with_atomic_out path (fun oc ->
-      output_string oc magic_v1;
-      output_char oc (scheme_byte t.scheme);
-      output_char oc (Char.chr t.mss);
-      let scratch = Buffer.create 256 in
-      Varint.write scratch (n_keys t);
-      Buffer.output_buffer oc scratch;
-      List.iter
-        (fun key ->
-          Buffer.clear scratch;
-          Varint.write scratch (String.length key);
-          Buffer.add_string scratch key;
-          Coding.write scratch (Option.get (find_exn t key));
-          Buffer.output_buffer oc scratch)
-        (sorted_keys t))
-
-(* the slot's posting as SIDX4 postings-region bytes: v4 containers for
-   interval postings, v3 containers otherwise *)
-let v4_bytes (t : t) key (slot : slot) =
-  let want = mapped_enc t in
-  match converted ~want t key slot with
-  | Some s -> s
-  | None -> (
-      match slot.src with
-      | Coding.Str s when slot.off = 0 && slot.len = String.length s -> s
-      | _ -> Coding.src_sub slot.src slot.off slot.len)
-
-let save_v4 ?(key_block = default_key_block) (t : t) path =
-  if key_block < 1 then invalid_arg "Builder.save_v4: key_block must be >= 1";
+let save ?(key_block = default_key_block) (t : t) path =
+  if key_block < 1 then invalid_arg "Builder.save: key_block must be >= 1";
   with_atomic_out path (fun oc ->
       let slots = slots_sorted t in
       let nkeys = List.length slots in
       let header =
-        Printf.sprintf "%s%c%c" magic_v4 (scheme_byte t.scheme) (Char.chr t.mss)
+        Printf.sprintf "%s%c%c" magic (scheme_byte t.scheme) (Char.chr t.mss)
       in
       (* the three regions are buffered whole: the key index needs every
          block's offsets before anything can be streamed *)
@@ -945,7 +807,7 @@ let save_v4 ?(key_block = default_key_block) (t : t) path =
       let prev = ref "" in
       List.iteri
         (fun i (key, slot) ->
-          let body = v4_bytes t key slot in
+          let body = file_bytes t key slot in
           if i mod key_block = 0 then begin
             Buffer.add_int64_le kindex (Int64.of_int (Buffer.length keydir));
             Buffer.add_int64_le kindex (Int64.of_int (Buffer.length postings));
@@ -969,7 +831,7 @@ let save_v4 ?(key_block = default_key_block) (t : t) path =
       Buffer.output_buffer oc kindex;
       Buffer.output_buffer oc keydir;
       Buffer.output_buffer oc postings;
-      let footer = Buffer.create footer_len_v4 in
+      let footer = Buffer.create footer_len in
       Buffer.add_int64_le footer (Int64.of_int nkeys);
       Buffer.add_int64_le footer (Int64.of_int key_block);
       Buffer.add_int64_le footer (Int64.of_int (Buffer.length kindex));
@@ -983,179 +845,54 @@ let save_v4 ?(key_block = default_key_block) (t : t) path =
         (Int32.of_int (Crc32.string (Buffer.contents postings)));
       Buffer.add_int32_le footer
         (Int32.of_int (Crc32.string (Buffer.contents footer)));
-      Buffer.add_string footer footer_magic_v4;
+      Buffer.add_string footer footer_magic;
       Buffer.output_buffer oc footer)
 
-let read_file path =
+(* The footer's own CRC covers the header CRC, every region CRC and every
+   region length, so it names the file's bytes as well as a whole-file
+   hash would — and reads in O(1).  It is the [.meta] [idx_crc]. *)
+let digest_at (map : Coding.bigstring) = Mmap.u32 map (Bigarray.Array1.dim map - 8)
+
+let file_digest path =
   let ic = open_in_bin path in
-  let s =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  (* armed [short:N] simulates a torn read; the checksummed loaders must
-     reject the result as Corrupt, never crash or mis-parse *)
-  Failpoint.read_transform "builder.load.read" s
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      seek_in ic (in_channel_length ic - 8);
+      let s = really_input_string ic 4 in
+      Int32.to_int (String.get_int32_le s 0) land 0xffffffff)
 
-let u32_at s off = Int32.to_int (String.get_int32_le s off) land 0xffffffff
+(* SIDX1-3 headers: retired containers, refused by name rather than parsed
+   as damaged SIDX4 bytes *)
+let legacy_magics = [ "SIDX1\n"; "SIDX2\n"; "SIDX3\n" ]
 
-let u64_at path s off =
-  match Int64.unsigned_to_int (String.get_int64_le s off) with
-  | Some v -> v
-  | None -> Si_error.raise_corrupt ~path ~offset:off "region length out of range"
-
-(* SIDX2/SIDX3 load: verify footer magic, region lengths and checksums over
-   the whole byte string, then one bounds-checked pass over the key
-   directory building key -> (offset, length) slots; postings decode on
-   first [find] (or block by block through the cursors). *)
-let load_packed ~enc path s =
-  let len = String.length s in
-  let corrupt offset what = Si_error.raise_corrupt ~path ~offset what in
-  if len < header_len + footer_len then
-    corrupt len
-      (Printf.sprintf "truncated: %d bytes cannot hold the header and footer" len);
-  if not (String.equal (String.sub s (len - 4) 4) footer_magic) then
-    corrupt (len - 4) "missing footer magic (truncated file or pre-checksum SIDX2)";
-  let keydir_len = u64_at path s (len - 32) in
-  let postings_len = u64_at path s (len - 24) in
-  if keydir_len > len || postings_len > len
-     || header_len + keydir_len + postings_len + footer_len <> len
-  then
-    corrupt (len - 32)
-      (Printf.sprintf
-         "recorded region lengths (%d-byte key directory + %d-byte postings) \
-          disagree with the %d-byte file"
-         keydir_len postings_len len);
-  if Crc32.substring s 0 header_len <> u32_at s (len - 16) then
-    corrupt 0 "header checksum mismatch";
-  let kd_start = header_len in
-  let p_start = kd_start + keydir_len in
-  if Crc32.substring s kd_start keydir_len <> u32_at s (len - 12) then
-    corrupt kd_start "key directory checksum mismatch";
-  if Crc32.substring s p_start postings_len <> u32_at s (len - 8) then
-    corrupt p_start "postings checksum mismatch";
-  let scheme = scheme_of_byte path s.[6] in
-  let mss = Char.code s.[7] in
-  if mss < 1 then corrupt 7 "mss byte must be >= 1";
-  (* key directory: every varint bounded by the region end, keys strictly
-     sorted, posting lengths tiling the postings region exactly *)
-  let kd_end = p_start in
-  let sv = Coding.str s in
-  let vread off = Coding.checked_varint ~limit:kd_end sv off in
-  let nkeys, off0 = vread kd_start in
-  if nkeys > keydir_len then corrupt kd_start "key count exceeds key directory size";
-  let table = Hashtbl.create (2 * (nkeys + 1)) in
-  let postings = ref 0 in
-  let off = ref off0 in
-  let post_off = ref 0 in
-  let prev = ref "" in
-  for _ = 1 to nkeys do
-    let rec_start = !off in
-    let lcp, o = vread !off in
-    let slen, o = vread o in
-    if lcp > String.length !prev then
-      corrupt rec_start "front-coded prefix longer than the previous key";
-    if slen > kd_end - o then corrupt rec_start "key suffix overruns the key directory";
-    let key = String.sub !prev 0 lcp ^ String.sub s o slen in
-    let o = o + slen in
-    if String.compare key !prev <= 0 then
-      corrupt rec_start "keys not in strictly increasing order";
-    ignore (checked_key_size path ~offset:rec_start ~mss key);
-    let plen, o = vread o in
-    if plen < 1 then corrupt rec_start "zero-length posting";
-    if plen > postings_len - !post_off then
-      corrupt rec_start "posting overruns the postings region";
-    let slot_off = p_start + !post_off in
-    let entries =
-      match enc with
-      | V2 | V4 | Unpacked ->
-          Coding.packed_entries ~limit:(slot_off + plen) sv slot_off
-      | V3 -> Coding.packed_entries_v3 ~limit:(slot_off + plen) sv slot_off
-    in
-    postings := !postings + entries;
-    Hashtbl.replace table key
-      { src = sv; off = slot_off; len = plen; entries; enc; decoded = None };
-    post_off := !post_off + plen;
-    off := o;
-    prev := key
-  done;
-  if !off <> kd_end then corrupt !off "trailing bytes in the key directory";
-  if !post_off <> postings_len then
-    corrupt p_start "posting lengths do not cover the postings region";
-  {
-    scheme;
-    mss;
-    table;
-    stats =
-      { trees = 0; nodes = 0; keys = nkeys; postings = !postings; bytes = len };
-    origin = path;
-    file_crc = Some (Crc32.string s);
-    mapped = None;
-  }
-
-(* SIDX1 load: the legacy format stores postings eagerly and carries no
-   checksum (detection is structural only); decode each posting defensively
-   and re-pack so the in-memory representation is uniformly SIDX2. *)
-let load_v1 path s =
-  let len = String.length s in
-  let corrupt offset what = Si_error.raise_corrupt ~path ~offset what in
-  if len < header_len then corrupt len "truncated header";
-  let scheme = scheme_of_byte path s.[6] in
-  let mss = Char.code s.[7] in
-  if mss < 1 then corrupt 7 "mss byte must be >= 1";
-  let sv = Coding.str s in
-  let vread off = Coding.checked_varint ~limit:len sv off in
-  let nkeys, off0 = vread 8 in
-  if nkeys > len then corrupt 8 "key count exceeds file size";
-  let table = Hashtbl.create (2 * (nkeys + 1)) in
-  let off = ref off0 in
-  let postings = ref 0 in
-  let bytes = ref 0 in
-  let prev = ref "" in
-  for _ = 1 to nkeys do
-    let rec_start = !off in
-    let klen, o = vread !off in
-    if klen > len - o then corrupt rec_start "key overruns the file";
-    let key = String.sub s o klen in
-    if String.compare key !prev <= 0 then
-      corrupt rec_start "keys not in strictly increasing order";
-    let key_size = checked_key_size path ~offset:rec_start ~mss key in
-    let posting, o = Coding.read scheme ~key_size ~limit:len sv (o + klen) in
-    off := o;
-    prev := key;
-    let slot = slot_of_posting posting in
-    postings := !postings + slot.entries;
-    bytes := !bytes + Varint.size klen + klen + Varint.size slot.len + slot.len;
-    Hashtbl.replace table key slot
-  done;
-  if !off <> len then corrupt !off "trailing bytes after the last posting";
-  {
-    scheme;
-    mss;
-    table;
-    stats = { trees = 0; nodes = 0; keys = nkeys; postings = !postings; bytes = !bytes };
-    origin = path;
-    file_crc = Some (Crc32.string s);
-    mapped = None;
-  }
-
-(* SIDX4 load: O(1) — map the file, verify the 72-byte footer and 8-byte
-   header CRCs, validate the region table.  No key table is built; finds
+(* O(1) open: map the file, verify the 72-byte footer and 8-byte header
+   CRCs, validate the region table.  No key table is built; finds
    binary-search the mapped key index, and the body region CRCs verify
-   lazily on first touch. *)
-let load_v4 path =
+   lazily on first touch.  An armed [builder.load.read=short:N] shows only
+   the first N bytes — a torn read the checks below must reject. *)
+let open_mapped path =
   Failpoint.hit "builder.load.map";
   let map = Mmap.map_ro path in
+  let map =
+    Bigarray.Array1.sub map 0
+      (Failpoint.read_len "builder.load.read" (Bigarray.Array1.dim map))
+  in
   let len = Bigarray.Array1.dim map in
   let corrupt offset what = Si_error.raise_corrupt ~path ~offset what in
-  if len < header_len + footer_len_v4 then
+  let mlen = String.length magic in
+  if len >= mlen && List.mem (Mmap.bytes_at map 0 mlen) legacy_magics then
+    Si_error.raise_schema ~path
+      (Printf.sprintf "retired %s container; only SIDX4 is read — rebuild the prefix"
+         (String.trim (Mmap.bytes_at map 0 mlen)));
+  if len < header_len + footer_len then
     corrupt len
       (Printf.sprintf "truncated: %d bytes cannot hold an SIDX4 header and footer"
          len);
-  if not (String.equal (Mmap.bytes_at map (len - 4) 4) footer_magic_v4) then
+  if not (String.equal (Mmap.bytes_at map (len - 4) 4) footer_magic) then
     corrupt (len - 4) "missing SIDX4 footer magic";
-  if Crc32.bigsub map (len - footer_len_v4) (footer_len_v4 - 8) <> Mmap.u32 map (len - 8)
-  then corrupt (len - footer_len_v4) "footer checksum mismatch";
+  if Crc32.bigsub map (len - footer_len) (footer_len - 8) <> digest_at map then
+    corrupt (len - footer_len) "footer checksum mismatch";
   let nkeys = Mmap.u64 ~path map (len - 72) in
   let kblock = Mmap.u64 ~path map (len - 64) in
   let kindex_len = Mmap.u64 ~path map (len - 56) in
@@ -1165,14 +902,14 @@ let load_v4 path =
   if nkeys > keydir_len then corrupt (len - 72) "key count exceeds key directory size";
   let nblocks = (nkeys + kblock - 1) / kblock in
   if kindex_len <> 16 * nblocks
-     || header_len + kindex_len + keydir_len + postings_len + footer_len_v4 <> len
+     || header_len + kindex_len + keydir_len + postings_len + footer_len <> len
   then
     corrupt (len - 72)
       (Printf.sprintf
          "recorded regions (%d keys, %d + %d + %d bytes) disagree with the \
           %d-byte file"
          nkeys kindex_len keydir_len postings_len len);
-  if not (String.equal (Mmap.bytes_at map 0 (String.length magic_v4)) magic_v4) then
+  if not (String.equal (Mmap.bytes_at map 0 mlen) magic) then
     corrupt 0 "bad magic (want SIDX4)";
   if Crc32.bigsub map 0 header_len <> Mmap.u32 map (len - 24) then
     corrupt 0 "header checksum mismatch";
@@ -1187,7 +924,6 @@ let load_v4 path =
        bytes is the mapped file size *)
     stats = { trees = 0; nodes = 0; keys = nkeys; postings = 0; bytes = len };
     origin = path;
-    file_crc = None;
     mapped =
       Some
         {
@@ -1210,65 +946,27 @@ let load_v4 path =
         };
   }
 
-let is_prefix s m = String.length s < String.length m && String.equal s (String.sub m 0 (String.length s))
-
-(* the first bytes of the file, to pick the loader: SIDX4 must be mapped,
-   not slurped, so sniffing precedes any full read *)
-let sniff path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let n = min (in_channel_length ic) (String.length magic_v4) in
-      really_input_string ic n)
-
 let load path =
-  match sniff path with
+  match open_mapped path with
+  | t -> Ok t
+  | exception Si_error.Error e -> Error e
   | exception Sys_error what -> Error (Si_error.Io { path; what })
-  | head when String.equal head magic_v4 -> (
-      match load_v4 path with
-      | t -> Ok t
-      | exception Si_error.Error e -> Error e
-      | exception Sys_error what -> Error (Si_error.Io { path; what })
-      | exception Coding.Malformed { offset; what } ->
-          Error (Si_error.Corrupt { path; offset; what })
-      | exception Invalid_argument what ->
-          Error (Si_error.Corrupt { path; offset = 0; what = "malformed: " ^ what })
-      | exception Failure what ->
-          Error (Si_error.Corrupt { path; offset = 0; what }))
-  | _ -> (
-      match read_file path with
-      | exception Sys_error what -> Error (Si_error.Io { path; what })
-      | s -> (
-          let corrupt offset what = Si_error.raise_corrupt ~path ~offset what in
-          let mlen = String.length magic in
-          match
-            let len = String.length s in
-            let has m = len >= mlen && String.equal (String.sub s 0 mlen) m in
-            if len = 0 then corrupt 0 "empty file"
-            else if has magic_v3 then load_packed ~enc:V3 path s
-            else if has magic then load_packed ~enc:V2 path s
-            else if has magic_v1 then load_v1 path s
-            else if
-              is_prefix s magic_v4 || is_prefix s magic_v3 || is_prefix s magic
-              || is_prefix s magic_v1
-            then
-              corrupt 0
-                (Printf.sprintf "truncated header: %d bytes, shorter than the magic"
-                   len)
-            else
-              corrupt 0
-                "not an si index file (bad magic; want SIDX1, SIDX2, SIDX3 or SIDX4)"
-          with
-          | t -> Ok t
-          | exception Si_error.Error e -> Error e
-          | exception Coding.Malformed { offset; what } ->
-              Error (Si_error.Corrupt { path; offset; what })
-          (* safety net: no decoding slip may escape as a crash *)
-          | exception Invalid_argument what ->
-              Error (Si_error.Corrupt { path; offset = 0; what = "malformed: " ^ what })
-          | exception Failure what ->
-              Error (Si_error.Corrupt { path; offset = 0; what })))
+  (* safety net: no decoding slip may escape as a crash *)
+  | exception Coding.Malformed { offset; what } ->
+      Error (Si_error.Corrupt { path; offset; what })
+  | exception Invalid_argument what ->
+      Error (Si_error.Corrupt { path; offset = 0; what = "malformed: " ^ what })
+  | exception Failure what -> Error (Si_error.Corrupt { path; offset = 0; what })
+
+(* The [.meta] cross-check: [crc] is the footer digest the prefix was
+   published with — or, in a [.meta] written before the digest, the CRC-32
+   of the whole file, which costs one pass over the mapping to confirm. *)
+let matches_crc (t : t) crc =
+  match t.mapped with
+  | None -> true
+  | Some m ->
+      crc = digest_at m.map
+      || crc = Crc32.bigsub m.map 0 (Bigarray.Array1.dim m.map)
 
 (* ---- mapped introspection ------------------------------------------------ *)
 
@@ -1297,7 +995,7 @@ let mapped_stats (t : t) =
          count as resident in full; unverified ones only cost the pages a
          find or decode actually walked — approximated as zero *)
       let resident =
-        header_len + footer_len_v4
+        header_len + footer_len
         + List.fold_left (fun a r -> if r.rverified then a + r.rbytes else a) 0 regions
       in
       Some

@@ -1,5 +1,5 @@
-(** Index construction (shard / merge / finalize) and the flattened [.idx]
-    file (SIDX2).
+(** Index construction (shard / merge / finalize) and the SIDX4 [.idx]
+    file.
 
     {b Construction} streams the corpus once per shard: each tree's subtree
     instances (sizes 1..mss) are enumerated in canonical form and appended
@@ -13,18 +13,17 @@
     accumulation exactly — the parallel build is byte-identical to the
     sequential one (the differential tests assert this on saved files).
 
-    {b Representation}: every posting is held as its SIDX2 packed bytes
-    ({!Coding.pack}); the same bytes are written to disk, so [save] streams
-    slices and [load] only builds a key → offset table over the raw file
-    (O(keys) startup), decoding a posting on first {!find} and memoizing
-    the result.  Legacy SIDX1 files are still readable (decoded eagerly and
-    re-packed).
+    {b Two backends, one file format.}  A built (or appended, or merged)
+    index is a heap table of v3-packed postings ({!Coding.pack_v3}),
+    decoded on first {!find} and memoized.  {!save} writes it as one SIDX4
+    file, and {!load} maps that file and consumes it in place: O(1) open,
+    key lookups binary-searching the mapped key index, region CRCs
+    verified lazily.
 
-    {b Integrity}: SIDX2 files end in a 32-byte footer recording the key
-    directory and postings region lengths plus a CRC-32 per region (header,
-    key directory, postings).  {!save} writes atomically
-    ([path ^ ".tmp"], fsync, rename); {!load} verifies magic, lengths and
-    all three checksums before parsing, and every decode path is
+    {b Integrity}: SIDX4 files end in a 72-byte footer recording the
+    region lengths plus a CRC-32 per region and one over the footer
+    itself.  {!save} writes atomically ([path ^ ".tmp"], fsync, rename);
+    {!load} verifies the footer and header, and every decode path is
     bounds-checked — corrupt bytes surface as [Error (Corrupt _)], never a
     crash or a silently wrong posting. *)
 
@@ -36,12 +35,12 @@ type stats = {
   bytes : int;  (** flattened size of keys + packed postings *)
 }
 
-type enc = V2 | V3 | V4 | Unpacked
+type enc = V3 | V4 | Unpacked
 (** Container encoding of a slot's bytes: [V3] the block-skip container
-    ({!Coding.pack_v3} — built indexes and SIDX3 files), [V2] the flat
-    SIDX2 body (loaded from old files, still fully decodable), [V4] the
-    SIDX4 interval container ({!Coding.pack_v4} — (tid, pre) names,
-    resolved against the corpus store at decode time).  [Unpacked] slots
+    ({!Coding.pack_v3} — built indexes, and filter / root-split postings
+    of SIDX4 files), [V4] the SIDX4 interval container ({!Coding.pack_v4}
+    — (tid, pre) names, resolved against the corpus store at decode
+    time).  [Unpacked] slots
     ({!append}) have no bytes: the posting lives in [decoded] and presents
     to the cursor layer as one flat block. *)
 
@@ -70,13 +69,6 @@ type t = {
       (** where the index came from: the [.idx] path for loaded indexes,
           ["<memory>"] for built ones — used as the [path] of corruption
           errors raised on lazy posting decode *)
-  file_crc : int option;
-      (** CRC-32 of the exact on-disk bytes for loaded indexes, [None] for
-          built ones {e and} for mapped SIDX4 indexes (whose integrity is
-          the footer + per-region CRCs) — cross-checked against the
-          [.meta] sidecar's [idx_crc] record so a crash that leaves a new
-          [.idx] next to old sibling files (or vice versa) is caught at
-          load, not answered from silently (see {!Si.load}) *)
   mapped : mapped option;  (** [Some] iff the index is a mapped SIDX4 *)
 }
 
@@ -149,14 +141,15 @@ val length_histogram : t -> (int * int) list
 
 val block_histogram : t -> (int * int) list
 (** [(nblocks, count)] pairs: number of keys whose posting is laid out in
-    exactly [nblocks] blocks (flat postings and V2 slots count as 1).
+    exactly [nblocks] blocks (flat postings and unpacked slots count as
+    1).
     Parses container headers only.  Raises [Si_error.Error] on corrupt
     container bytes. *)
 
 val find_blocks : t -> string -> (slot * Coding.block array) option
 (** The block layout of a key's posting without decoding any entries —
-    the entry point of the streaming cursor path.  V2 slots present as a
-    single flat block.  Raises [Si_error.Error] on corrupt container
+    the entry point of the streaming cursor path.  Unpacked slots present
+    as a single flat block.  Raises [Si_error.Error] on corrupt container
     bytes. *)
 
 val decode_block : t -> string -> slot -> Coding.block -> Coding.posting
@@ -164,60 +157,47 @@ val decode_block : t -> string -> slot -> Coding.block -> Coding.posting
     (does {e not} touch [slot.decoded]).  Raises [Si_error.Error] on
     corrupt bytes. *)
 
-val save : t -> string -> (unit, Si_error.t) result
-(** [save t path] streams the SIDX3 index: an 8-byte header (magic, scheme,
-    mss), the key directory (key count, then sorted records of front-coded
-    key + posting length), the concatenated v3 posting containers, and the
-    32-byte integrity footer (region lengths + three CRC-32s).  The write
-    is atomic: [path ^ ".tmp"] + fsync + rename, so a crash or [Error (Io _)]
-    leaves any existing file at [path] untouched.  Peak extra memory is one
-    record (plus re-encoded postings when the index was loaded from an
-    older container version). *)
-
-val save_v2 : t -> string -> (unit, Si_error.t) result
-(** SIDX2 writer (same container, flat posting bodies) — kept for the
-    back-compat tests and the size baseline in the bench harness.  Atomic
-    like {!save}. *)
-
-val save_v1 : t -> string -> (unit, Si_error.t) result
-(** Legacy SIDX1 writer (eager postings, no front coding, no footer) — kept
-    for the size baseline in the bench harness and the migration test.
-    Atomic like {!save}. *)
-
 val default_key_block : int
 (** Keys per SIDX4 key-directory block (64). *)
 
-val save_v4 : ?key_block:int -> t -> string -> (unit, Si_error.t) result
-(** SIDX4 writer: header, fixed-stride key index (one 16-byte record per
-    key-directory block of [key_block] keys), front-coded key directory
-    with embedded entry counts and posting lengths, postings (interval
-    postings re-encoded as {!Coding.pack_v4} (tid, pre)-name containers;
-    filter / root-split postings stay v3), and a 72-byte footer with one
-    CRC-32 per region.  The result is designed to be consumed in place by
-    {!load} via [mmap]; interval postings additionally require the
-    [.trees] corpus store sibling that {!Si.save} writes.  Atomic like
-    {!save}. *)
+val save : ?key_block:int -> t -> string -> (unit, Si_error.t) result
+(** [save t path] writes the SIDX4 file: header, fixed-stride key index
+    (one 16-byte record per key-directory block of [key_block] keys),
+    front-coded key directory with embedded entry counts and posting
+    lengths, postings (interval postings re-encoded as {!Coding.pack_v4}
+    (tid, pre)-name containers; filter / root-split postings stay v3), and
+    a 72-byte footer with one CRC-32 per region.  Interval postings need
+    the [.trees] corpus store sibling that {!Si.build} writes to decode
+    again.  The write is atomic: [path ^ ".tmp"] + fsync + rename, so a
+    crash or [Error (Io _)] leaves any existing file at [path] untouched. *)
 
 val load : string -> (t, Si_error.t) result
-(** Inverse of {!save}: verifies the footer (magic, region lengths, all
-    three checksums) before parsing, then builds the key → offset table in
-    one bounds-checked pass, deferring posting decode to {!find}.  Also
-    accepts SIDX2 files (same container, flat postings — slots stay [V2]
-    in memory and re-encode on {!save}) and SIDX1 files (eager,
-    defensively decoded — but unchecksummed, so only structural corruption
-    is detectable).  Errors: [Io] if the file
-    cannot be read; [Corrupt] for an empty file, a truncated header, a bad
-    magic, a footer/checksum mismatch, or any malformed record.  The
-    [trees]/[nodes] stats are not stored and read back as 0; [Si] restores
-    them from the [.meta].
-
-    SIDX4 files take a different path entirely: the file is mapped, only
-    the footer and header CRCs are verified (O(1) in the index size), and
-    no key table is built — {!find} binary-searches the mapped key index,
-    verifying the directory region CRCs on the first lookup and the
-    postings CRC on the first decode.  Interval postings cannot decode
+(** Map an SIDX4 file in O(1): only the footer and header CRCs are
+    verified, no key table is built — {!find} binary-searches the mapped
+    key index, verifying the directory region CRCs on the first lookup and
+    the postings CRC on the first decode.  Interval postings cannot decode
     until {!set_resolve} attaches the corpus store ({!Si.open_} does);
-    without it they raise [Schema_mismatch]. *)
+    without it they raise [Schema_mismatch].  The [trees]/[nodes]/
+    [postings] stats are not stored and read back as 0; [Si] restores them
+    from the [.meta].
+
+    Errors: [Io] if the file cannot be read; [Schema_mismatch] for a file
+    that starts with a retired SIDX1/2/3 magic (rebuild the prefix);
+    [Corrupt] for an empty or truncated file, a bad magic, or a
+    footer/header checksum mismatch. *)
+
+val file_digest : string -> int
+(** The footer CRC of the SIDX4 file at [path] (its last 8..4 bytes): it
+    covers every region CRC and length, so it identifies the file's bytes.
+    {!Si} records it as the [.meta] [idx_crc].  Raises [Sys_error] /
+    [End_of_file] on an unreadable or short file. *)
+
+val matches_crc : t -> int -> bool
+(** [matches_crc t crc]: does [crc] — a [.meta] [idx_crc] — name this
+    mapped file?  Accepts the footer digest, and (for a [.meta] written
+    before the digest) the CRC-32 of the whole file.  [true] for heap
+    indexes.  The cross-check that catches a crash leaving a new [.idx]
+    next to old sibling files, or the reverse. *)
 
 (** {2 Mapped (SIDX4) introspection} *)
 
@@ -241,14 +221,14 @@ val mapped_stats : t -> mapped_stats option
 val verify_mapped : t -> (unit, Si_error.t) result
 (** Force the lazy region CRC verification now (all three regions).
     [Error (Corrupt _)] on a checksum mismatch.  [Ok ()] on heap indexes
-    (fully verified at load). *)
+    (built in memory, never read from a file). *)
 
 (** {2 Incremental scrub support (DESIGN.md §15)} *)
 
 val scrub_regions : t -> (string * int * int * int) list
 (** The lazily-verified mapped regions as [(name, offset, length, crc)]
     in file order — ["kindex"], ["keydir"], ["postings"] for an SIDX4
-    index; [[]] for heap indexes, which were fully verified at load. *)
+    index; [[]] for heap indexes, which were never read from a file. *)
 
 val scrub_feed : t -> Crc32.t -> off:int -> len:int -> Crc32.t
 (** Fold [len] mapped bytes at [off] into a running checksum — the scrub

@@ -43,10 +43,11 @@ let heap_bytes = function
 
 (* ---- byte sources ------------------------------------------------------- *)
 
-(* Every decode path reads through [src]: either an in-heap string (SIDX1-3
-   load slurps the file) or a memory-mapped byte view (SIDX4 consumes the
-   file in place).  The per-byte loops are specialised per constructor so
-   the string hot path keeps its exact pre-mmap code shape. *)
+(* Every decode path reads through [src]: either an in-heap string (the
+   postings of an in-memory build) or a memory-mapped byte view (an opened
+   SIDX4 file, consumed in place).  The per-byte loops are specialised per
+   constructor so the string hot path keeps its exact pre-mmap code
+   shape. *)
 
 type bigstring = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -190,50 +191,9 @@ let validate = function
           prev_pre := root.pre)
         a
 
-(* ---- SIDX1 flattening --------------------------------------------------- *)
+(* ---- entry-slice codec (the body of every v3 block) --------------------- *)
 
-let write_interval buf i =
-  Varint.write buf i.pre;
-  Varint.write buf i.post;
-  Varint.write buf i.level
-
-let read_interval ~limit s off =
-  let pre, off = checked_varint ~limit s off in
-  let post, off = checked_varint ~limit s off in
-  let level, off = checked_varint ~limit s off in
-  ({ pre; post; level }, off)
-
-let write buf = function
-  | Filter_p tids ->
-      Varint.write buf (Array.length tids);
-      let prev = ref 0 in
-      Array.iter
-        (fun tid ->
-          Varint.write buf (tid - !prev);
-          prev := tid)
-        tids
-  | Interval_p a ->
-      Varint.write buf (Array.length a);
-      let prev = ref 0 in
-      Array.iter
-        (fun (tid, ivs) ->
-          Varint.write buf (tid - !prev);
-          prev := tid;
-          Array.iter (write_interval buf) ivs)
-        a
-  | Root_p a ->
-      Varint.write buf (Array.length a);
-      let prev = ref 0 in
-      Array.iter
-        (fun (tid, iv) ->
-          Varint.write buf (tid - !prev);
-          prev := tid;
-          write_interval buf iv)
-        a
-
-(* ---- entry-slice codec (shared by SIDX2 and the SIDX3 blocks) ----------- *)
-
-(* The packing exploits two corpus invariants the v1 codec ignores:
+(* The packing exploits two corpus invariants:
    - post = pre + size - 1 - level for every node, so each interval stores
      the (small) subtree size instead of the (corpus-wide) postorder rank;
    - every non-root node of an instance is a strict descendant of the
@@ -391,33 +351,17 @@ let unpack_slice scheme ~key_size ~count ~limit s off =
       done;
       (Interval_p a, !off)
 
-(* ---- SIDX2 packed codec ------------------------------------------------ *)
-
-let pack buf p =
-  validate p;
-  Varint.write buf (entries p);
-  pack_slice buf p 0 (entries p)
-
 let clamp_limit limit s =
   match limit with None -> src_length s | Some l -> min l (src_length s)
 
-let unpack scheme ~key_size ?limit s off =
-  let limit = clamp_limit limit s in
-  let count, off = checked_varint ~limit s off in
-  unpack_slice scheme ~key_size ~count ~limit s off
-
-let packed_entries ?limit s off =
-  let limit = clamp_limit limit s in
-  fst (checked_varint ~limit s off)
-
-(* ---- SIDX3 block container --------------------------------------------- *)
+(* ---- v3 block container ------------------------------------------------ *)
 
 (* A v3 posting is a container around slice-encoded entries:
 
      varint  (count << 1) | blocked
 
    blocked = 0: the slice encoding of all [count] entries follows directly
-   (identical bytes to the SIDX2 body) — the posting is one implicit block.
+   — the posting is one implicit block.
 
    blocked = 1 (only when count > block size B):
 
@@ -577,13 +521,9 @@ let unpack_v3 scheme ~key_size ?limit s off =
   if Array.length parts = 1 then (parts.(0), finish)
   else (concat_parts scheme ~count blocks parts, finish)
 
-let packed_entries_v3 ?limit s off =
-  let limit = clamp_limit limit s in
-  fst (checked_varint ~limit s off) lsr 1
-
 (* ---- SIDX4 interval slices: structure shared with the corpus store ----- *)
 
-(* The v2/v3 interval slice spends three varints per node (pre, size, level)
+(* The v3 interval slice spends three varints per node (pre, size, level)
    even though the corpus already knows every node's (pre, post, level).  In
    an SIDX4 file the tree structure lives once, succinctly, in the mapped
    corpus store, so an interval posting only needs to *name* nodes: tid plus
@@ -595,7 +535,7 @@ let packed_entries_v3 ?limit s off =
    Container framing (header, skip table, blocks) is exactly the v3 layout,
    so [v3_layout] parses v4 postings unchanged; only the slice bytes differ:
 
-     entry:  varint dtid                    as in v2/v3
+     entry:  varint dtid                    as in v3
              varint dpre                    root pre, delta within a tid run
              (key_size - 1) x varint dpre   node pre - root pre
 
@@ -703,65 +643,3 @@ let unpack_v4 ~key_size ~resolve ?limit s off =
   in
   if Array.length parts = 1 then (parts.(0), finish)
   else (concat_parts Interval ~count blocks parts, finish)
-
-(* ---- SIDX1 legacy codec ------------------------------------------------ *)
-
-let read scheme ~key_size ?limit s off =
-  let limit = clamp_limit limit s in
-  let count, off = checked_varint ~limit s off in
-  check_count ~count
-    ~per_entry:
-      (match scheme with
-      | Filter -> 1
-      | Root_split -> 4
-      | Interval ->
-          if key_size < 1 then malformed off "key size must be >= 1";
-          1 + (3 * key_size))
-    ~remaining:(limit - off) off;
-  match scheme with
-  | Filter ->
-      let tids = Array.make count 0 in
-      let off = ref off in
-      let prev = ref 0 in
-      for i = 0 to count - 1 do
-        let d, o = checked_varint ~limit s !off in
-        let tid = !prev + d in
-        if tid < 0 then malformed !off "tid overflow";
-        tids.(i) <- tid;
-        prev := tid;
-        off := o
-      done;
-      (Filter_p tids, !off)
-  | Interval ->
-      let a = Array.make count (0, [||]) in
-      let off = ref off in
-      let prev = ref 0 in
-      for i = 0 to count - 1 do
-        let d, o = checked_varint ~limit s !off in
-        let tid = !prev + d in
-        if tid < 0 then malformed !off "tid overflow";
-        prev := tid;
-        off := o;
-        let ivs = Array.make key_size dummy_interval in
-        for k = 0 to key_size - 1 do
-          let iv, o = read_interval ~limit s !off in
-          ivs.(k) <- iv;
-          off := o
-        done;
-        a.(i) <- (tid, ivs)
-      done;
-      (Interval_p a, !off)
-  | Root_split ->
-      let a = Array.make count (0, dummy_interval) in
-      let off = ref off in
-      let prev = ref 0 in
-      for i = 0 to count - 1 do
-        let d, o = checked_varint ~limit s !off in
-        let tid = !prev + d in
-        if tid < 0 then malformed !off "tid overflow";
-        prev := tid;
-        let iv, o = read_interval ~limit s o in
-        a.(i) <- (tid, iv);
-        off := o
-      done;
-      (Root_p a, !off)

@@ -11,9 +11,9 @@
       *root* only, deduplicated per [(tid, root)]; exact matching via joins
       on cover roots (the paper's contribution).
 
-    Postings are flattened with delta-varints on the tree id; the binary
-    layout is the start of the on-disk format the later storage PR bulk
-    loads into a B+tree. *)
+    Postings are packed into the v3 block container ({!pack_v3}); SIDX4
+    files carry interval postings in the v4 slice encoding ({!pack_v4})
+    and filter / root-split postings as v3 bytes. *)
 
 type scheme = Filter | Interval | Root_split
 
@@ -45,9 +45,9 @@ val heap_bytes : posting -> int
 
 (** {1 Byte sources}
 
-    Decoding reads through {!src}: an in-heap string (SIDX1-3 loads slurp
-    the file) or a memory-mapped byte view (SIDX4 consumes the file in
-    place, zero-copy).  The per-byte loops are specialised per constructor,
+    Decoding reads through {!src}: an in-heap string (the postings of an
+    in-memory build) or a memory-mapped byte view (an opened SIDX4 file,
+    consumed in place, zero-copy).  The per-byte loops are specialised per constructor,
     so the string path keeps its pre-mmap performance. *)
 
 type bigstring = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -78,57 +78,34 @@ val checked_varint : limit:int -> src -> int -> int * int
 (** [checked_varint ~limit s off] is [(value, next_off)], reading strictly
     below [limit] (clamped to [src_length s]); raises {!Malformed}
     instead of [Invalid_argument], with the failing offset.  The shared
-    primitive of the defensive decode paths ({!Builder.load} uses it for
-    the key directory as well). *)
+    primitive of the defensive decode paths ({!Builder} uses it for the
+    SIDX4 key directory as well). *)
 
-val write : Buffer.t -> posting -> unit
-(** Legacy SIDX1 flattening: delta-varint tids, raw [(pre, post, level)]
-    varints per interval. *)
+(** {1 v3 block container}
 
-val read : scheme -> key_size:int -> ?limit:int -> src -> int -> posting * int
-(** [read scheme ~key_size s off] parses one posting written by {!write}
-    ([key_size] nodes per interval-coded instance); returns the posting and
-    the next offset.  Raises {!Malformed} on bad bytes; never reads at or
-    past [limit] (default: end of [s]). *)
+    A v3 posting wraps an entry slice in a block container.  The leading
+    varint is [(count << 1) | blocked].  Flat postings ([blocked = 0],
+    whenever [count <= block_entries]) are followed by one slice of all
+    entries.  Blocked postings carry the block size [B], then a skip table
+    of [ceil count/B] records — (first tid delta vs the previous block,
+    block byte length) — then the concatenated block bodies.
 
-val pack : Buffer.t -> posting -> unit
-(** SIDX2 packing — the representation both held in memory and written to
-    disk.  Tids are delta-coded; each interval stores [(pre, size-1, level)]
+    A slice delta-codes tids; each interval stores [(pre, size-1, level)]
     using the identity [post = pre + size - 1 - level], so sizes (small)
     replace postorder ranks (corpus-wide); non-root instance nodes pack
     [pre]/[level] as offsets from the instance root, and within a tid run
-    the root [pre] is delta-coded against the previous entry.
+    the root [pre] is delta-coded against the previous entry.  Every slice
+    writes its first entry absolutely, so a block is decodable in
+    isolation — which is what lets intersections and joins seek by tid over
+    compressed bytes and decode only the blocks they touch.
 
-    The delta coding is only injective on postings satisfying the builder's
-    ordering invariants, so [pack] validates them — tids sorted (strictly,
-    for filter postings), root [pre]s non-decreasing within a tid run,
-    instance nodes at or below their root, every interval honouring the
-    [post = pre + size - 1 - level] identity — and raises
-    [Invalid_argument] with a clear message rather than encoding bytes that
-    would decode to a different posting. *)
-
-val unpack : scheme -> key_size:int -> ?limit:int -> src -> int -> posting * int
-(** Inverse of {!pack}; same contract as {!read}: bounds-checked against
-    [limit], validates the entry count against the remaining bytes before
-    allocating, raises {!Malformed} on bad bytes. *)
-
-val packed_entries : ?limit:int -> src -> int -> int
-(** [packed_entries s off] is the entry count of the packed posting at
-    [off] — the leading varint, without decoding the posting.  Raises
-    {!Malformed} on a truncated or overflowing count. *)
-
-(** {1 SIDX3 block container}
-
-    A v3 posting wraps the v2 entry encoding in a block container.  The
-    leading varint is [(count << 1) | blocked].  Flat postings
-    ([blocked = 0], whenever [count <= block_entries]) are followed by the
-    exact SIDX2 body.  Blocked postings carry the block size [B], then a
-    skip table of [ceil count/B] records — (first tid delta vs the previous
-    block, block byte length) — then the concatenated block bodies.  Every
-    block body re-starts the delta chains (the v2 encoding already writes
-    each posting's first entry absolutely, so a block is decodable in
-    isolation), which is what lets intersections and joins seek by tid over
-    compressed bytes and decode only the blocks they touch. *)
+    The delta coding is only injective on postings satisfying the
+    builder's ordering invariants, so the packers validate them — tids
+    sorted (strictly, for filter postings), root [pre]s non-decreasing
+    within a tid run, instance nodes at or below their root, every
+    interval honouring the [post = pre + size - 1 - level] identity — and
+    raise [Invalid_argument] with a clear message rather than encoding
+    bytes that would decode to a different posting. *)
 
 val default_block_entries : int
 (** 128 — build-time default; the value used is written into the bytes, so
@@ -142,8 +119,8 @@ type block = {
 }
 
 val pack_v3 : ?block_entries:int -> Buffer.t -> posting -> unit
-(** Pack with the v3 container.  Validates like {!pack}; raises
-    [Invalid_argument] if [block_entries < 1]. *)
+(** Pack with the v3 container.  Validates the posting (see above); raises
+    [Invalid_argument] on an invalid posting or [block_entries < 1]. *)
 
 val v3_layout : scheme -> ?limit:int -> src -> int -> int * block array
 (** [v3_layout scheme s off] parses only the container header and skip
@@ -160,11 +137,10 @@ val unpack_block : scheme -> key_size:int -> src -> block -> posting
 
 val unpack_v3 : scheme -> key_size:int -> ?limit:int -> src -> int -> posting * int
 (** Decode a whole v3 posting (all blocks, concatenated), additionally
-    validating cross-block tid monotonicity.  Raises {!Malformed}. *)
-
-val packed_entries_v3 : ?limit:int -> src -> int -> int
-(** Entry count of the v3 posting at [off], from the container header
-    only. *)
+    validating cross-block tid monotonicity.  Bounds-checked against
+    [limit] (default: end of [s]); validates every entry count against the
+    remaining bytes before allocating.  Returns the posting and the next
+    offset.  Raises {!Malformed}. *)
 
 (** {1 SIDX4 interval slices}
 
@@ -182,7 +158,7 @@ val packed_entries_v3 : ?limit:int -> src -> int -> int
 
 val pack_v4 : ?block_entries:int -> Buffer.t -> posting -> unit
 (** Pack an interval posting with the v4 slice encoding inside the v3
-    container.  Validates like {!pack}; raises [Invalid_argument] on a
+    container.  Validates like {!pack_v3}; raises [Invalid_argument] on a
     non-interval posting or [block_entries < 1]. *)
 
 val unpack_block_v4 :

@@ -1,10 +1,10 @@
 open Si_treebank
 
 (* The evaluators' view of the corpus: dense tids -> annotated trees.
-   [Mem] is the classic fully-materialized array (build, SIDX1-3 open);
-   [Store] reads trees out of a mapped {!Treestore} on demand, which is
-   what makes SIDX4's O(1) open possible — no Penn re-parse of the whole
-   [.dat] before the first query. *)
+   [Mem] is the fully-materialized array of an in-memory build or WAL
+   delta; [Store] reads trees out of a mapped {!Treestore} on demand,
+   which is what makes the O(1) open possible — no parse of the whole
+   corpus before the first query. *)
 
 type t = Mem of Annotated.t array | Store of Treestore.t
 

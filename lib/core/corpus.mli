@@ -1,7 +1,8 @@
 (** The evaluators' view of the corpus: dense tids -> annotated trees.
 
-    Either a fully-materialized array (build, SIDX1-3 open) or a mapped
-    {!Treestore} materializing trees on demand (SIDX4 open).  [get] on a
+    Either a fully-materialized array (an in-memory build, the WAL delta)
+    or a mapped {!Treestore} materializing trees on demand (an opened
+    prefix).  [get] on a
     [Store] raises {!Si_error.Error} [Corrupt] for out-of-range tids or a
     damaged store — callers treat it exactly like a corrupt posting. *)
 

@@ -1,9 +1,9 @@
 (** CRC-32 (IEEE 802.3, polynomial [0xedb88320]) over strings.
 
-    Guards the SIDX2 on-disk regions: {!Builder.save} records one checksum
-    per region in the file footer and {!Builder.load} verifies them before
-    trusting a byte.  The incremental API lets the writer fold the checksum
-    over streamed records without buffering a region. *)
+    Guards the on-disk regions: {!Builder.save} records one checksum per
+    SIDX4 region in the file footer, and the mapped reader verifies each
+    before trusting a byte of it.  The incremental API lets the scrub fold
+    the checksum over a region in budget-sized steps. *)
 
 type t
 (** Running (unfinalized) checksum state. *)

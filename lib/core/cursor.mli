@@ -1,7 +1,7 @@
 (** Streaming cursor over one key's posting blocks — the serving read path.
 
     A cursor walks a posting's entries in order without decoding the whole
-    posting: the SIDX3 skip table ({!Coding.v3_layout}) gives each block's
+    posting: the v3 skip table ({!Coding.v3_layout}) gives each block's
     first tid and byte extent, so {!seek} binary-searches the skip table,
     decodes only the one block that can straddle the target, and {!peek}
     at an undecoded block boundary answers straight from the skip table.

@@ -112,8 +112,8 @@ let intersect (a : int array) (b : int array) =
   else intersect_merge a b out;
   Ibuf.contents out
 
-(* a decoded tid outside the corpus means the .idx and .dat (or .trees)
-   disagree — a corrupt or mismatched pair of files, never a crash *)
+(* a decoded tid outside the corpus means the .idx and .trees disagree —
+   a corrupt or mismatched pair of files, never a crash *)
 let tree_of ~(index : Builder.t) ~corpus tid =
   if tid < 0 || tid >= Corpus.length corpus then
     Si_error.raise_corrupt ~path:index.Builder.origin ~offset:0

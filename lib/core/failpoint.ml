@@ -3,7 +3,7 @@ type action =
   | Sys_fail
   | Exit of int
   | Delay of int  (* milliseconds *)
-  | Short of int  (* truncate read_transform bytes to this length *)
+  | Short of int  (* cap a read_len site at this many bytes *)
 
 type trigger =
   | Nth of int  (* fire on exactly the nth hit, 1-based *)
@@ -155,18 +155,18 @@ let perform name = function
       Printf.eprintf "si: failpoint %s: simulated crash (exit %d)\n%!" name code;
       Unix._exit code
   | Delay ms -> Unix.sleepf (float_of_int ms /. 1000.)
-  | Short _ -> ()  (* only meaningful at read_transform sites *)
+  | Short _ -> ()  (* only meaningful at read_len sites *)
 
 let hit name =
   match armed_action name with None -> () | Some a -> perform name a
 
-let read_transform name bytes =
+let read_len name len =
   match armed_action name with
-  | None -> bytes
-  | Some (Short n) -> String.sub bytes 0 (min n (String.length bytes))
+  | None -> len
+  | Some (Short n) -> min n len
   | Some a ->
       perform name a;
-      bytes
+      len
 
 let known =
   [
@@ -175,7 +175,7 @@ let known =
     ("builder.save.fsync", "after flush, before fsync");
     ("builder.save.rename", "after fsync, before the atomic rename");
     ("si.save.siblings", "all four files staged, before the publish renames");
-    ("builder.load.read", "reading index bytes (supports short:N torn reads)");
+    ("builder.load.read", "sizing the mapped index bytes (supports short:N torn reads)");
     ("builder.load.map", "mapping an SIDX4 index file");
     ("builder.decode-block", "decoding one posting block");
     ("cursor.decode", "a cursor decoding its current block");

@@ -1,7 +1,7 @@
 (** Deterministic fault injection for robustness tests.
 
-    A failpoint is a named code location ({!hit} / {!read_transform}
-    call site); the registry arms actions against names, from the
+    A failpoint is a named code location ({!hit} / {!read_len} call
+    site); the registry arms actions against names, from the
     [SI_FAILPOINTS] environment variable, a CLI flag, or directly in
     tests.  Nothing is armed by default and an unarmed {!hit} costs one
     load of a flag, so the points stay in production code.
@@ -20,8 +20,8 @@
       finalizers, exactly like a kill (the crash-recovery harness);
     - [delay:MS] — sleep MS milliseconds, then continue (latency
       injection);
-    - [short:N] — truncate the bytes flowing through a
-      {!read_transform} site to N (a torn read); ignored at {!hit} sites.
+    - [short:N] — cap the byte count read at a {!read_len} site to N (a
+      torn read); ignored at {!hit} sites.
 
     Triggers: [@N] fire on the Nth hit only (default [@1]); [@N+] fire on
     every hit from the Nth; [@p:PCT:SEED] fire with probability PCT%
@@ -54,9 +54,9 @@ val hit : string -> unit
 (** Fire the failpoint [name] if armed (see the action table above).
     No-op when nothing is armed. *)
 
-val read_transform : string -> string -> string
-(** [read_transform name bytes] — [bytes], truncated if [name] is armed
-    with [short:N] and the trigger fires.  Other armed actions fire as in
+val read_len : string -> int -> int
+(** [read_len name len] — [len], capped at [N] if [name] is armed with
+    [short:N] and the trigger fires.  Other armed actions fire as in
     {!hit}. *)
 
 val known : (string * string) list

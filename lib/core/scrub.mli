@@ -55,6 +55,6 @@ val pass :
   store:Treestore.t option ->
   report
 (** Run one budgeted scrub pass, resuming where the cursor stopped.  A
-    heap (SIDX3) index with no store has nothing lazily verified and
+    heap (in-memory) index with no store has nothing lazily verified and
     completes clean immediately.  Never raises on corrupt bytes — damage
     is reported, not thrown. *)

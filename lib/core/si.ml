@@ -76,8 +76,8 @@ let fresh_integrity () =
 type t = {
   index : Builder.t;
   corpus : Corpus.t;
-      (* a materialized array for SIDX1-3 / fresh builds, the mapped
-         [.trees] store for SIDX4 opens *)
+      (* a materialized array for fresh builds, the mapped [.trees] store
+         for opened prefixes *)
   label_id : Label.t -> int;
       (* process-global label id -> the id space the index keys were
          encoded in; raises Not_found for labels the index never saw.
@@ -95,15 +95,12 @@ type t = {
   integ : integrity;  (* quarantine / scrub / repair state, shared by copies *)
 }
 
-type format = [ `Sidx3 | `Sidx4 ]
-
 let index t = t.index
 let cache_stats t = Cache.stats t.cache
 let scheme t = t.index.Builder.scheme
 let mss t = t.index.Builder.mss
 let stats t = t.index.Builder.stats
 let corpus t = t.corpus
-let format t = if Builder.is_mapped t.index then `Sidx4 else `Sidx3
 
 let sentence t tid =
   let n = Corpus.length t.corpus in
@@ -134,12 +131,6 @@ let read_lines path =
       in
       go [])
 
-let read_binary path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Crash protocol for the four-file set.  Every byte is staged before any
    final name changes: the [.idx] goes to [prefix.idx.new] (itself written
    atomically by {!Builder.save}), the siblings to [*.tmp], and only then
@@ -151,16 +142,16 @@ let read_binary path =
      answers exactly as before (stale [.new]/[.tmp] staging litter is
      ignored by [open_] and swept by the next successful save);
    - a crash inside the rename sequence can leave a mixed old/new set, but
-     never a silently wrong one: the [.meta] records the CRC-32 of the
-     exact [.idx] bytes it was written against ([idx_crc=...]), and
+     never a silently wrong one: the [.meta] records the footer digest of
+     the exact [.idx] bytes it was written against ([idx_crc=...]), and
      {!open_} refuses a prefix whose [.idx] does not match it
      ([Schema_mismatch]) instead of answering from mismatched files.
      Re-running the save to completion repairs the prefix.
 
-   [`Sidx4] saves add a fifth sibling, [prefix.trees] — the zero-copy
-   corpus store the mapped open resolves intervals against — staged and
-   renamed under the same protocol (before the [.meta]). *)
-let save ?(format = `Sidx3) ?labels t prefix trees =
+   The siblings are [prefix.trees] — the zero-copy corpus store the mapped
+   open resolves intervals against — [prefix.labels] and [prefix.meta],
+   renamed in that order after the [.idx]. *)
+let save ?labels t prefix =
   (* default: the building process's whole intern table; a checkpoint
      passes the stored-extended space instead, so a fresh opener maps the
      keys exactly as they were encoded *)
@@ -168,44 +159,34 @@ let save ?(format = `Sidx3) ?labels t prefix trees =
     match labels with Some l -> l | None -> Array.to_list (Label.all ())
   in
   let staged_idx = prefix ^ ".idx.new" in
-  (match
-     match format with
-     | `Sidx3 -> Builder.save t.index staged_idx
-     | `Sidx4 -> Builder.save_v4 t.index staged_idx
-   with
+  (match Builder.save t.index staged_idx with
   | Ok () -> ()
   | Error e -> raise (Si_error.Error e));
-  let idx_crc = Crc32.string (read_binary staged_idx) in
+  let idx_crc = Builder.file_digest staged_idx in
   let tmp ext = (prefix ^ ext, prefix ^ ext ^ ".tmp") in
-  let dat, dat_tmp = tmp ".dat" in
   let labels, labels_tmp = tmp ".labels" in
   let meta, meta_tmp = tmp ".meta" in
   let trees_file, trees_tmp = tmp ".trees" in
-  Penn.write_file dat_tmp trees;
-  (match format with
-  | `Sidx4 ->
-      (* the store carries label ids in the published [.labels] order,
-         which is NOT this process's intern order when the handle was
-         opened lazily (SIDX4) and other parses interned first — e.g. a
-         checkpoint whose WAL replay interned the delta's labels before
-         any mapped-corpus access *)
-      let stored_id = Hashtbl.create (List.length label_lines) in
-      List.iteri
-        (fun i name ->
-          if not (Hashtbl.mem stored_id name) then Hashtbl.add stored_id name i)
-        label_lines;
-      let relabel live =
-        match Hashtbl.find_opt stored_id (Label.name live) with
-        | Some sid -> sid
-        | None ->
-            invalid_arg
-              (Printf.sprintf
-                 "Si.save: label %S of the corpus is missing from the \
-                  published label table"
-                 (Label.name live))
-      in
-      Treestore.save trees_tmp ~relabel (Corpus.to_array t.corpus)
-  | `Sidx3 -> ());
+  (* the store carries label ids in the published [.labels] order, which
+     is NOT this process's intern order when the handle was opened lazily
+     and other parses interned first — e.g. a checkpoint whose WAL replay
+     interned the delta's labels before any mapped-corpus access *)
+  let stored_id = Hashtbl.create (List.length label_lines) in
+  List.iteri
+    (fun i name ->
+      if not (Hashtbl.mem stored_id name) then Hashtbl.add stored_id name i)
+    label_lines;
+  let relabel live =
+    match Hashtbl.find_opt stored_id (Label.name live) with
+    | Some sid -> sid
+    | None ->
+        invalid_arg
+          (Printf.sprintf
+             "Si.save: label %S of the corpus is missing from the published \
+              label table"
+             (Label.name live))
+  in
+  Treestore.save trees_tmp ~relabel (Corpus.to_array t.corpus);
   write_text labels_tmp label_lines;
   let s = t.index.Builder.stats in
   write_text meta_tmp
@@ -220,8 +201,7 @@ let save ?(format = `Sidx3) ?labels t prefix trees =
     ];
   Failpoint.hit "si.save.siblings";
   Sys.rename staged_idx (prefix ^ ".idx");
-  Sys.rename dat_tmp dat;
-  (match format with `Sidx4 -> Sys.rename trees_tmp trees_file | `Sidx3 -> ());
+  Sys.rename trees_tmp trees_file;
   Sys.rename labels_tmp labels;
   (* the .meta lands last: it names the .idx bytes it belongs to *)
   Sys.rename meta_tmp meta
@@ -253,7 +233,7 @@ let make_handle ~index ~corpus ~cache ~prefix space =
     integ = fresh_integrity ();
   }
 
-let build ?(domains = 1) ?cache_budget ?format ~scheme ~mss ~trees ?prefix () =
+let build ?(domains = 1) ?cache_budget ~scheme ~mss ~trees ?prefix () =
   let docs = Array.of_list (List.map Annotated.of_tree trees) in
   let index = Builder.build ~domains ~scheme ~mss docs in
   let cache = Cursor.create_cache ?budget:cache_budget () in
@@ -264,7 +244,7 @@ let build ?(domains = 1) ?cache_budget ?format ~scheme ~mss ~trees ?prefix () =
     make_handle ~index ~corpus:(Corpus.of_array docs) ~cache ~prefix
       (space_of_names (Label.all ()))
   in
-  (try Option.iter (fun p -> save ?format t p trees) prefix
+  (try Option.iter (fun p -> save t p) prefix
    with Sys_error what ->
      raise (Si_error.Error (Si_error.Io { path = Option.get prefix; what })));
   t
@@ -297,26 +277,26 @@ let check_meta prefix ~(index : Builder.t) ~ntrees =
           | "trees" ->
               if v <> string_of_int ntrees then
                 mismatch
-                  (Printf.sprintf ".meta says trees=%s but the .dat holds %d" v
-                     ntrees)
+                  (Printf.sprintf
+                     ".meta says trees=%s but the .trees store holds %d" v ntrees)
           | "idx_crc" -> (
-              (* whole-file cross-check: catches a crash that published a
+              (* the .idx cross-check: catches a crash that published a
                  new .idx but died before the matching siblings (or the
                  reverse).  Absent in pre-crc .meta files — skipped. *)
-              match (int_of_string_opt v, index.Builder.file_crc) with
-              | Some want, Some got when want <> got ->
+              match int_of_string_opt v with
+              | Some want when not (Builder.matches_crc index want) ->
                   mismatch
                     (Printf.sprintf
-                       ".meta says idx_crc=%d but the .idx hashes to %d — \
-                        mixed file set (crash mid-save?); rebuild the prefix"
-                       want got)
-              | None, _ -> mismatch ".meta idx_crc is not a number"
-              | _ -> ())
+                       ".meta says idx_crc=%d but the .idx does not match it \
+                        — mixed file set (crash mid-save?); rebuild the prefix"
+                       want)
+              | None -> mismatch ".meta idx_crc is not a number"
+              | Some _ -> ())
           | _ -> ()))
     (read_lines path)
 
-(* nodes= / postings= counts out of the .meta — the mapped open has no
-   other source for them (it never walks the corpus or the postings) *)
+(* nodes= / postings= counts out of the .meta — the open has no other
+   source for them (it never walks the corpus or the postings) *)
 let meta_counts prefix =
   let nodes = ref 0 and postings = ref 0 in
   List.iter
@@ -405,6 +385,9 @@ let replay_wal t prefix =
       in
       Atomic.set t.delta (delta_with (Atomic.get t.delta) (Array.of_list fresh))
 
+(* O(1) open: map the [.idx] and the [.trees] corpus store, attach the
+   interval resolver, and restore the stats the mapped [.idx] does not
+   carry from the [.meta]. *)
 let open_ ?cache_budget prefix =
   Si_error.guard @@ fun () ->
   let index =
@@ -415,79 +398,51 @@ let open_ ?cache_budget prefix =
   let wrap_file path f =
     try f () with
     | Sys_error what -> Si_error.raise_io ~path what
-    | Failure what ->
-        (* Penn parse errors: the corpus file is damaged, not the query *)
-        Si_error.raise_corrupt ~path ~offset:0 what
+    | Failure what -> Si_error.raise_corrupt ~path ~offset:0 what
   in
   let stored =
     wrap_file (prefix ^ ".labels") (fun () ->
         Array.of_list (read_lines (prefix ^ ".labels")))
   in
-  let space = space_of_names stored in
-  let cache () = Cursor.create_cache ?budget:cache_budget () in
-  let finish ~index ~corpus =
-    let t =
-      make_handle ~index ~corpus ~cache:(cache ()) ~prefix:(Some prefix) space
-    in
-    replay_wal t prefix;
-    t
+  let store_path = prefix ^ ".trees" in
+  let relabel sid =
+    if sid < 0 || sid >= Array.length stored then
+      Si_error.raise_corrupt ~path:store_path ~offset:0
+        (Printf.sprintf "stored label id %d outside the %d-entry label table"
+           sid (Array.length stored))
+    else Label.intern stored.(sid)
   in
-  if Builder.is_mapped index then begin
-    (* SIDX4: O(1) open.  No .dat parse, no table build — map the .trees
-       corpus store, attach the interval resolver, and restore the stats
-       the mapped .idx does not carry from the .meta. *)
-    let store_path = prefix ^ ".trees" in
-    let relabel sid =
-      if sid < 0 || sid >= Array.length stored then
-        Si_error.raise_corrupt ~path:store_path ~offset:0
-          (Printf.sprintf "stored label id %d outside the %d-entry label table"
-             sid (Array.length stored))
-      else Label.intern stored.(sid)
-    in
-    let store = wrap_file store_path (fun () -> Treestore.open_ ~relabel store_path) in
-    let ntrees = Treestore.length store in
-    wrap_file (prefix ^ ".meta") (fun () -> check_meta prefix ~index ~ntrees);
-    let nodes, postings =
-      wrap_file (prefix ^ ".meta") (fun () -> meta_counts prefix)
-    in
-    Builder.set_resolve index (fun tid pre ->
-        let d = Treestore.get store tid in
-        if pre < 0 || pre >= Annotated.size d then
-          Si_error.raise_corrupt ~path:(prefix ^ ".idx") ~offset:0
-            (Printf.sprintf "posting pre %d outside tree %d of %d nodes" pre
-               tid (Annotated.size d));
-        {
-          Coding.pre;
-          post = d.Annotated.post.(pre);
-          level = d.Annotated.level.(pre);
-        });
-    let index =
+  let store = wrap_file store_path (fun () -> Treestore.open_ ~relabel store_path) in
+  let ntrees = Treestore.length store in
+  wrap_file (prefix ^ ".meta") (fun () -> check_meta prefix ~index ~ntrees);
+  let nodes, postings =
+    wrap_file (prefix ^ ".meta") (fun () -> meta_counts prefix)
+  in
+  Builder.set_resolve index (fun tid pre ->
+      let d = Treestore.get store tid in
+      if pre < 0 || pre >= Annotated.size d then
+        Si_error.raise_corrupt ~path:(prefix ^ ".idx") ~offset:0
+          (Printf.sprintf "posting pre %d outside tree %d of %d nodes" pre
+             tid (Annotated.size d));
       {
-        index with
-        Builder.stats =
-          { index.Builder.stats with Builder.trees = ntrees; nodes; postings };
-      }
-    in
-    finish ~index ~corpus:(Corpus.of_store store)
-  end
-  else begin
-    let trees =
-      wrap_file (prefix ^ ".dat") (fun () -> Penn.read_file (prefix ^ ".dat"))
-    in
-    let docs = Array.of_list (List.map Annotated.of_tree trees) in
-    wrap_file (prefix ^ ".meta") (fun () ->
-        check_meta prefix ~index ~ntrees:(Array.length docs));
-    let index =
-      (* restore the corpus stats the .idx does not carry *)
-      let nodes = Array.fold_left (fun acc d -> acc + Annotated.size d) 0 docs in
-      {
-        index with
-        Builder.stats =
-          { index.Builder.stats with Builder.trees = Array.length docs; nodes };
-      }
-    in
-    finish ~index ~corpus:(Corpus.of_array docs)
-  end
+        Coding.pre;
+        post = d.Annotated.post.(pre);
+        level = d.Annotated.level.(pre);
+      });
+  let index =
+    {
+      index with
+      Builder.stats =
+        { index.Builder.stats with Builder.trees = ntrees; nodes; postings };
+    }
+  in
+  let t =
+    make_handle ~index ~corpus:(Corpus.of_store store)
+      ~cache:(Cursor.create_cache ?budget:cache_budget ())
+      ~prefix:(Some prefix) (space_of_names stored)
+  in
+  replay_wal t prefix;
+  t
 
 (* ---- incremental inserts (DESIGN.md §13) -------------------------------- *)
 
@@ -496,7 +451,21 @@ let require_prefix t op =
   | Some p -> p
   | None -> invalid_arg ("Si." ^ op ^ ": handle has no on-disk prefix")
 
+(* A failed append whose rollback also failed leaves frames no insert
+   acknowledged at the log's tail, and closes the log.  The handle then
+   refuses every write — appending behind those frames, or publishing a
+   checkpoint the next open would replay them on top of, would surface
+   them as data — until the prefix is reopened. *)
+let refuse_broken_wal t prefix =
+  match !(t.wal) with
+  | Some w when Wal.broken w ->
+      Si_error.raise_io ~path:(Wal.path prefix)
+        "the WAL was closed after a failed append could not be rolled back; \
+         reopen the prefix"
+  | _ -> ()
+
 let wal_handle t prefix =
+  refuse_broken_wal t prefix;
   match !(t.wal) with
   | Some w -> w
   | None ->
@@ -540,6 +509,7 @@ let checkpoint t =
   Si_error.guard @@ fun () ->
   let prefix = require_prefix t "checkpoint" in
   Mutex.protect t.ilock @@ fun () ->
+  refuse_broken_wal t prefix;
   let d = Atomic.get t.delta in
   match Array.length d.d_docs with
   | 0 ->
@@ -559,16 +529,10 @@ let checkpoint t =
       let merged = Builder.merge_append t.index d.d_index ~tid_base:base in
       let main_docs = Corpus.to_array t.corpus in
       let all_docs = Array.append main_docs d.d_docs in
-      let all_trees =
-        Array.to_list (Array.map (fun doc -> doc.Annotated.tree) all_docs)
-      in
       let staged =
         { t with index = merged; corpus = Corpus.of_array all_docs }
       in
-      (try
-         save ~format:(format t)
-           ~labels:(Array.to_list d.d_space.names)
-           staged prefix all_trees
+      (try save ~labels:(Array.to_list d.d_space.names) staged prefix
        with Sys_error what ->
          raise (Si_error.Error (Si_error.Io { path = prefix; what })));
       let w = wal_handle t prefix in
@@ -580,7 +544,8 @@ let close_wal t =
       match !(t.wal) with
       | Some w ->
           Wal.close w;
-          t.wal := None
+          (* a broken log stays attached: see {!refuse_broken_wal} *)
+          if not (Wal.broken w) then t.wal := None
       | None -> ())
 
 (* ---- scrub / repair (DESIGN.md §15) ------------------------------------- *)
@@ -633,6 +598,7 @@ let repair t =
       ~finally:(fun () -> Atomic.set t.integ.repairing false)
     @@ fun () ->
     Mutex.protect t.ilock @@ fun () ->
+    refuse_broken_wal t prefix;
     Failpoint.hit "si.repair.rebuild";
     let d = Atomic.get t.delta in
     let main_docs = Corpus.to_array t.corpus in
@@ -646,15 +612,9 @@ let repair t =
       Builder.build ~scheme:t.index.Builder.scheme ~mss:t.index.Builder.mss
         ~label_id all_docs
     in
-    let all_trees =
-      Array.to_list (Array.map (fun doc -> doc.Annotated.tree) all_docs)
-    in
     let staged = { t with index; corpus = Corpus.of_array all_docs } in
     Failpoint.hit "si.repair.publish";
-    (try
-       save ~format:(format t)
-         ~labels:(Array.to_list d.d_space.names)
-         staged prefix all_trees
+    (try save ~labels:(Array.to_list d.d_space.names) staged prefix
      with Sys_error what ->
        raise (Si_error.Error (Si_error.Io { path = prefix; what })));
     Failpoint.hit "si.repair.wal-truncate";
@@ -1054,7 +1014,7 @@ let open_sharded ?cache_budget prefix =
   let total = check_assignment ~prefix map shards in
   mk_sharded ~prefix ~map ~shards ~total
 
-let build_sharded ?(domains = 1) ?cache_budget ?format ~shards:nshards ~scheme
+let build_sharded ?(domains = 1) ?cache_budget ~shards:nshards ~scheme
     ~mss ~trees prefix =
   Si_error.guard @@ fun () ->
   if nshards < 1 then invalid_arg "Si.build_sharded: shards must be >= 1";
@@ -1074,7 +1034,7 @@ let build_sharded ?(domains = 1) ?cache_budget ?format ~shards:nshards ~scheme
     Array.mapi
       (fun i shard_trees ->
         Pool.submit pool ~worker:i (fun () ->
-            build ?cache_budget ?format ~scheme ~mss ~trees:shard_trees
+            build ?cache_budget ~scheme ~mss ~trees:shard_trees
               ~prefix:(Shardmap.shard_prefix prefix i)
               ()))
       per_shard

@@ -3,14 +3,17 @@
     On-disk layout under a [prefix] (see [_bench/README.md] for the naming
     convention the bench harness uses):
 
-    - [prefix.idx] — flattened keys + postings ({!Builder.save});
-    - [prefix.dat] — the indexed corpus, Penn format, one tree per line
-      (tree id = line number); read back for filter-coding validation, the
-      root-split corner fallback and sentence output;
+    - [prefix.idx] — the SIDX4 key directory + postings ({!Builder.save}),
+      mapped in place at open;
+    - [prefix.trees] — the indexed corpus as a mapped store
+      ({!Treestore}; tree id = record number), read for interval
+      resolution, filter-coding validation, the root-split corner
+      fallback and sentence output;
     - [prefix.labels] — interned label names, one per id, in id order;
     - [prefix.meta] — [key=value] text: scheme, mss, trees, nodes, keys,
-      postings, and [idx_crc] — the CRC-32 of the [.idx] bytes the
-      siblings were written against (the crash-consistency cross-check).
+      postings, and [idx_crc] — the footer digest of the [.idx] bytes the
+      siblings were written against ({!Builder.file_digest}, the
+      crash-consistency cross-check).
 
     A stored index is self-contained: a fresh process re-interns labels and
     resolves its ids through the stored table, so queries return the same
@@ -32,16 +35,9 @@
 
 type t
 
-type format = [ `Sidx3 | `Sidx4 ]
-(** On-disk [.idx] container to persist: [`Sidx3] (default) the eager
-    checksummed format, [`Sidx4] the mmap-resident format whose open is
-    O(1) and whose interval postings resolve against the [prefix.trees]
-    corpus store (written alongside). *)
-
 val build :
   ?domains:int ->
   ?cache_budget:int ->
-  ?format:format ->
   scheme:Coding.scheme ->
   mss:int ->
   trees:Si_treebank.Tree.t list ->
@@ -53,28 +49,25 @@ val build :
     shards construction across that many OCaml domains; the result and
     persisted bytes are identical regardless.  [cache_budget] bounds the
     handle's decoded-block cache in bytes (default 64 MiB; [0] disables
-    retention — queries still stream, nothing is kept).  [format] picks
-    the [.idx] container (default [`Sidx3]; [`Sidx4] additionally writes
-    [prefix.trees]).  Raises [Si_error.Error] (an [Io] variant) if
-    persisting fails. *)
+    retention — queries still stream, nothing is kept).  The handle
+    answers from the in-memory index; {!open_} maps the persisted one.
+    Raises [Si_error.Error] (an [Io] variant) if persisting fails. *)
 
 val index : t -> Builder.t
 (** The underlying key table — for tools and benchmarks. *)
 
 val open_ : ?cache_budget:int -> string -> (t, Si_error.t) result
-(** Load an index persisted by {!build}.  Every byte is verified before it
-    is trusted: the [.idx] checksums and structure ([Corrupt]), the [.dat]
-    parse ([Corrupt]), unreadable files ([Io]), and the [.meta]
-    cross-check — scheme, mss, tree count and the [.idx] file CRC must
-    agree with the loaded [.idx] and [.dat] ([Schema_mismatch]).
+(** Open an index persisted by {!build}, in O(1): the [.idx] and the
+    [.trees] corpus store are mapped, only their footer/header CRCs are
+    checked up front (body region CRCs verify lazily, on first touch), and
+    trees materialize on demand.  Query results are byte-identical to the
+    in-memory index the prefix was built from.  Errors: [Corrupt] for
+    damaged [.idx] / [.trees] bytes, [Io] for unreadable files,
+    [Schema_mismatch] when the [.meta] cross-check fails — scheme, mss,
+    tree count and [idx_crc] must agree with the mapped files — or when the
+    [.idx] is a retired SIDX1/2/3 container (rebuild the prefix).
 
-    An SIDX4 prefix opens in O(1) instead: the [.idx] and the [.trees]
-    corpus store are mapped, only their footer/header CRCs are checked up
-    front (body region CRCs verify lazily, on first touch), the [.dat] is
-    never read, and trees materialize on demand.  Query results are
-    byte-identical to the same index in SIDX3 form.
-
-    Either backend then replays [prefix.wal] (if present) into the delta
+    The open then replays [prefix.wal] (if present) into the delta
     index: a record whose tid the main index already covers is skipped
     (a checkpoint that crashed before truncating), a torn tail is
     ignored, and the remaining records must continue the tree numbering
@@ -90,7 +83,11 @@ val insert : t -> Si_treebank.Tree.t list -> (int, Si_error.t) result
     lock; queries never block.  Labels the index has never seen extend
     its id space in insertion order.  Raises [Invalid_argument] on a
     handle with no on-disk prefix.  Errors: [Io] on a write/fsync
-    failure, [Schema_mismatch] / [Corrupt] on a damaged existing WAL. *)
+    failure, [Schema_mismatch] / [Corrupt] on a damaged existing WAL.  A
+    failed insert leaves the WAL as it was ({!Wal.append} rolls it back),
+    so a later insert on the handle is replayed exactly; if that rollback
+    fails too, every later {!insert}, {!checkpoint} and {!repair} on the
+    handle returns [Io] until the prefix is reopened. *)
 
 val checkpoint : t -> (int, Si_error.t) result
 (** Fold the delta into the main index and publish: merge
@@ -99,8 +96,7 @@ val checkpoint : t -> (int, Si_error.t) result
     in; [Ok 0] = empty delta, nothing written — except that a leftover
     WAL whose records the main index already covers (a crash between a
     previous checkpoint's publish and its truncate) is truncated, so an
-    explicit checkpoint always converges to an empty log.  Preserves the handle's
-    on-disk {!format}.  Every kill window leaves a loadable prefix: the
+    explicit checkpoint always converges to an empty log.  Every kill window leaves a loadable prefix: the
     old set + replayable WAL before the publish renames, a refused mixed
     set ([Schema_mismatch], [idx_crc]) inside them, the new set + ignored
     (tid-covered) or truncated WAL after.  The in-memory handle keeps
@@ -206,10 +202,6 @@ val mss : t -> int
 val stats : t -> Builder.stats
 val corpus : t -> Corpus.t
 
-val format : t -> format
-(** The on-disk container this handle was opened from (fresh builds
-    report [`Sidx3] — they are fully materialized in memory). *)
-
 val sentence : t -> int -> Si_treebank.Tree.t
 (** The indexed tree with id [tid] — main corpus or delta. *)
 
@@ -277,7 +269,7 @@ val integrity : t -> integrity_stats
     One logical index split across [shards] per-shard prefixes
     ([prefix.shard0] … [prefix.shardN-1]) plus a [prefix.shards]
     manifest ({!Shardmap}).  Each member shard is a complete stand-alone
-    index (any container format, its own WAL) with {e shard-local} tree
+    index (its own file set and WAL) with {e shard-local} tree
     ids; the deterministic router owns globality: global tid [g] lives
     on shard [Shardmap.shard_of_tid g], and a shard's local order is the
     global order restricted to it.  Queries fan out over the shards on
@@ -295,7 +287,6 @@ type handle = Single of t | Sharded of sharded
 val build_sharded :
   ?domains:int ->
   ?cache_budget:int ->
-  ?format:format ->
   shards:int ->
   scheme:Coding.scheme ->
   mss:int ->

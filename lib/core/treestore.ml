@@ -6,7 +6,7 @@ open Si_treebank
    1 on entering a node, 0 on leaving).  (pre, post, level) and the
    children lists are fully determined by the bitmap, so one scan of 2n
    bits reconstructs exactly what {!Annotated.of_tree} builds from a Penn
-   parse — without ever touching the [.dat] bracketing.
+   parse — without parsing any bracketing.
 
    Layout:
 

@@ -6,7 +6,7 @@
     0 on leaving).  A u64 offset table makes tid -> record an O(1) array
     read, and the BP scan reconstructs exactly the {!Annotated.t} a Penn
     re-parse would build — (pre, post, level), parent and children arrays
-    — so post-validation and subtree extraction never touch the [.dat]
+    — so post-validation and subtree extraction never parse Penn
     bracketing.  This is also the structure the SIDX4 interval postings
     share: they store only node *names* (tid, preorder rank) and resolve
     intervals against this store at decode time.

@@ -20,6 +20,7 @@ type t = {
   mutable n_records : int;
   mutable size : int;
   mutable closed : bool;
+  mutable broken : bool;  (* closed by a failed rollback, see {!append} *)
 }
 
 let u32_of s off =
@@ -136,7 +137,7 @@ let open_append ~scheme ~mss prefix =
             (magic ^ String.make 1 (scheme_byte scheme)
             ^ String.make 1 (Char.chr mss));
           Unix.fsync fd);
-      { wpath; fd; n_records = 0; size = header_len; closed = false }
+      { wpath; fd; n_records = 0; size = header_len; closed = false; broken = false }
     end
     else begin
       let recs, intact = scan ~wpath ~scheme ~mss contents in
@@ -146,11 +147,37 @@ let open_append ~scheme ~mss prefix =
             Unix.fsync fd
           end;
           ignore (Unix.lseek fd intact Unix.SEEK_SET));
-      { wpath; fd; n_records = List.length recs; size = intact; closed = false }
+      {
+        wpath;
+        fd;
+        n_records = List.length recs;
+        size = intact;
+        closed = false;
+        broken = false;
+      }
     end
   with e ->
     (try Unix.close fd with _ -> ());
     raise e
+
+let refuse_broken t =
+  if t.broken then
+    Si_error.raise_io ~path:t.wpath
+      "WAL closed after a failed append could not be rolled back"
+
+(* Undo a failed append: cut the log back to its last acknowledged byte
+   and move the offset there, so the next append's frames follow
+   acknowledged ones only — replay can never meet an unacknowledged frame
+   in front of an acknowledged one with the same tid.  If even that fails
+   the log's tail is unknown: close it for good. *)
+let rollback t =
+  try
+    Unix.ftruncate t.fd t.size;
+    ignore (Unix.lseek t.fd t.size Unix.SEEK_SET)
+  with Unix.Unix_error _ ->
+    t.broken <- true;
+    t.closed <- true;
+    (try Unix.close t.fd with Unix.Unix_error _ -> ())
 
 (* Group commit: every record of one call is framed into one buffer,
    written with one [write_full] and made durable by one fsync.  A crash
@@ -158,6 +185,7 @@ let open_append ~scheme ~mss prefix =
    {!scan} stops at — the same state a crash between separate appends
    leaves. *)
 let append t ~tid trees =
+  refuse_broken t;
   if t.closed then invalid_arg "Wal.append: closed handle";
   if tid < 0 then invalid_arg "Wal.append: negative tid";
   let frames = Buffer.create 256 in
@@ -173,17 +201,23 @@ let append t ~tid trees =
       Buffer.add_string frames p)
     trees;
   let bytes = Buffer.contents frames in
-  Failpoint.hit "wal.append.write";
-  io_guard t.wpath (fun () -> write_full t.fd bytes);
-  Failpoint.hit "wal.append.fsync";
-  io_guard t.wpath (fun () -> Unix.fsync t.fd);
+  (try
+     Failpoint.hit "wal.append.write";
+     io_guard t.wpath (fun () -> write_full t.fd bytes);
+     Failpoint.hit "wal.append.fsync";
+     io_guard t.wpath (fun () -> Unix.fsync t.fd)
+   with e ->
+     rollback t;
+     raise e);
   t.n_records <- t.n_records + List.length trees;
   t.size <- t.size + String.length bytes
 
 let records t = t.n_records
 let bytes t = t.size
+let broken t = t.broken
 
 let truncate t =
+  refuse_broken t;
   if t.closed then invalid_arg "Wal.truncate: closed handle";
   Failpoint.hit "wal.truncate";
   io_guard t.wpath (fun () ->

@@ -44,15 +44,23 @@ val append : t -> tid:int -> Si_treebank.Tree.t list -> unit
     [tid, tid+1, ...], writes them in one write and makes them durable
     with one fsync (group commit).  Every record is durable when [append]
     returns; a crash during the write leaves a whole-frame prefix of the
-    batch, which {!replay} accepts.  Failpoints: [wal.append.write]
-    before the batch is written, [wal.append.fsync] between write and
-    fsync. *)
+    batch, which {!replay} accepts.  A write or fsync that raises is
+    rolled back — the log is cut back to its last acknowledged byte and
+    the offset moved there — so a later append on the same handle never
+    lands behind unacknowledged frames.  If the rollback itself fails the
+    log is closed and {!broken}; every later [append] / {!truncate} raises
+    [Si_error.Error (Io _)].  Failpoints: [wal.append.write] before the
+    batch is written, [wal.append.fsync] between write and fsync. *)
 
 val records : t -> int
 (** Intact records in the log (replayed count plus appends). *)
 
 val bytes : t -> int
 (** Current log size in bytes, header included. *)
+
+val broken : t -> bool
+(** A failed append could not be rolled back: the log's tail holds
+    unacknowledged frames and the handle is closed for good. *)
 
 val truncate : t -> unit
 (** Drop every record: ftruncate back to the header and fsync — atomic

@@ -225,8 +225,7 @@ let mapped_bytes_of si =
     | Some st -> Treestore.mapped_bytes st
     | None -> 0)
 
-let backend_str si =
-  match Si.format si with `Sidx4 -> "mapped" | `Sidx3 -> "heap"
+let backend_str si = if Builder.is_mapped (Si.index si) then "mapped" else "heap"
 
 let index_json si =
   let s = Si.stats si in

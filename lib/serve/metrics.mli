@@ -85,6 +85,10 @@ val serving_json :
     snapshot, and the per-worker objects supplied by the server
     (queries, errors, busy time, per-domain cache counters). *)
 
+val backend_str : Si_core.Si.t -> string
+(** ["mapped"] for a handle opened from a prefix ({!Si_core.Builder.is_mapped}),
+    ["heap"] for an in-memory build. *)
+
 val index_json : Si_core.Si.t -> Jsonx.t
 (** The ["index"] object: scheme, mss, trees, nodes, keys, postings,
     flattened bytes — identical fields from both producers. *)

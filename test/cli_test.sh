@@ -68,12 +68,21 @@ expect_exit() { # expect_exit CODE GREP_PATTERN CMD...
 head -c 100 "$DIR/pristine.idx" > "$PFX.idx"
 expect_exit 3 'corrupt index' "$TOOL" query --prefix "$PFX" 'S(NP)(VP)'
 
-# a single flipped bit -> caught by the checksum, same contract
+# a single flipped bit in the header -> caught by its checksum at open,
+# same contract (a flip in a body region is caught on first touch and
+# answered from the corpus store instead — scrub_smoke.sh)
 cp "$DIR/pristine.idx" "$PFX.idx"
-byte=$(od -An -tu1 -j200 -N1 "$PFX.idx" | tr -d ' ')
+byte=$(od -An -tu1 -j7 -N1 "$PFX.idx" | tr -d ' ')
 printf "$(printf '\\%03o' $((byte ^ 1)))" \
-  | dd of="$PFX.idx" bs=1 seek=200 conv=notrunc 2>/dev/null
+  | dd of="$PFX.idx" bs=1 seek=7 conv=notrunc 2>/dev/null
 expect_exit 3 'corrupt index' "$TOOL" query --prefix "$PFX" 'S(NP)(VP)'
+
+# an .idx in a retired container (SIDX1-3 header) -> schema mismatch (5),
+# asking for a rebuild
+for magic in SIDX1 SIDX2 SIDX3; do
+  { printf '%s\n' "$magic"; tail -c +7 "$DIR/pristine.idx"; } > "$PFX.idx"
+  expect_exit 5 'rebuild the prefix' "$TOOL" query --prefix "$PFX" 'S(NP)(VP)'
+done
 
 # restore; syntax error -> 2, missing prefix -> 4
 cp "$DIR/pristine.idx" "$PFX.idx"
@@ -197,23 +206,32 @@ if command -v python3 >/dev/null; then
 fi
 
 # ---- SIDX4: mmap-resident backend ----------------------------------------
-# build --format sidx4 writes the .trees corpus store, answers stay
-# oracle-identical under every coding, and stats reports the mapped
-# backend with per-region CRC state
+# SIDX4 is the only container: --format sidx4 builds byte-for-byte the
+# default index (with its .trees corpus store, and no .dat copy of the
+# corpus), any other --format is refused, answers stay oracle-identical
+# under every coding, and stats reports the mapped backend with
+# per-region CRC state
+set +e
+"$TOOL" build --corpus "$DIR/corpus.penn" --prefix "$DIR/ix3" --format sidx3 \
+  >/dev/null 2>&1
+code=$?
+set -e
+[ "$code" != 0 ] || { echo "FAIL: build --format sidx3 accepted" >&2; exit 1; }
+[ ! -e "$DIR/ix3.idx" ] || { echo "FAIL: refused build wrote an index" >&2; exit 1; }
 for scheme in filter interval root-split; do
   P4="$DIR/ix4-$scheme"
   "$TOOL" build --corpus "$DIR/corpus.penn" --prefix "$P4" \
     --scheme "$scheme" --mss 3 --format sidx4 >/dev/null
   [ -f "$P4.trees" ] || { echo "FAIL: sidx4 build wrote no .trees" >&2; exit 1; }
+  [ ! -e "$P4.dat" ] || { echo "FAIL: build wrote a .dat corpus copy" >&2; exit 1; }
+  for ext in .idx .trees .labels .meta; do
+    cmp -s "$P4$ext" "$DIR/ix-$scheme$ext" \
+      || { echo "FAIL: --format sidx4 $scheme$ext differs from the default build" >&2; exit 1; }
+  done
   for q in "${QUERIES[@]}"; do
     out="$("$TOOL" query --prefix "$P4" "$q" --check-oracle)"
     grep -q 'oracle: OK' <<<"$out" \
       || { echo "FAIL: sidx4 scheme=$scheme query=$q: $out" >&2; exit 1; }
-    # the mapped backend answers with the same counts as the sidx3 prefix
-    c3="$("$TOOL" query --prefix "$DIR/ix-$scheme" "$q" | head -1)"
-    c4="$(head -1 <<<"$out")"
-    [ "$c3" = "$c4" ] \
-      || { echo "FAIL: sidx4/$scheme $q: $c4 vs sidx3 $c3" >&2; exit 1; }
   done
 done
 
@@ -244,10 +262,6 @@ assert names == {("idx","kindex"),("idx","keydir"),("idx","postings"),
                  ("trees","offsets"),("trees","trees")}, names' <<<"$out" \
     || { echo "FAIL: sidx4 stats --json schema check" >&2; exit 1; }
 fi
-# ... and the sidx3 prefix reports the heap backend
-out="$("$TOOL" stats --prefix "$DIR/ix-interval")"
-grep -q 'backend=heap' <<<"$out" \
-  || { echo "FAIL: sidx3 stats should say backend=heap" >&2; exit 1; }
 
 # corruption contract holds for both mapped files (exit 3, clean message)
 cp "$P4.idx" "$DIR/p4-pristine.idx"; cp "$P4.trees" "$DIR/p4-pristine.trees"

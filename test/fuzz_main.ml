@@ -1,27 +1,28 @@
 (* fuzz_main — corruption / differential fuzzer for the index files.
 
-   Builds small pristine indexes under all three codings (SIDX3, SIDX2 and
-   legacy SIDX1, mss 1 and 3), then hammers them with deterministic byte
-   mutations — truncation, bit flips, splices, range fills, appends,
-   deletions — asserting the crash-proofing invariant:
+   Builds small pristine SIDX4 prefixes under all three codings (mss 1 and
+   3; default and forced 4-entry posting blocks), then hammers them with
+   deterministic byte mutations — truncation, bit flips, splices, range
+   fills, appends, deletions — asserting the crash-proofing invariant:
 
      a mutated file produces a clean [Si_error] or a correct answer —
      never an uncaught exception, never a silently wrong result.
 
-   "Correct answer" is oracle-checked: when a mutated checksummed
-   (SIDX3/SIDX2) index still opens, its query answers must equal the
-   brute-force matcher's.  Legacy SIDX1 files carry no checksum, so a
-   mutation can in principle decode into a *valid but different* index —
-   those assert no-crash only.
+   "Correct answer" is oracle-checked: every byte of an SIDX4 prefix's
+   [.idx] and [.trees] is covered by a CRC, so when a mutated prefix still
+   opens and answers, the answer must equal the brute-force matcher's.
 
-   Four phases, interleaved per iteration: [idx] mutates the .idx bytes,
-   [skip] mutates bytes inside the SIDX3 postings region — the block-skip
-   tables and block bodies — then refits the region checksum so the load
-   gate passes and the decode-time structural validation is what must
-   reject the damage (cleanly, at query time), [codec] feeds raw garbage to
-   the posting decoders (must return or raise [Coding.Malformed], nothing
-   else), [sibling] mutates .dat/.labels/.meta (open must return
-   [Ok]/[Error], queries must not raise).
+   Phases, interleaved per iteration: [idx] mutates the .idx or .trees
+   bytes, [skip] mutates bytes inside the postings region — v3 block-skip
+   tables and block bodies, v4 interval slices — then refits the postings
+   CRC (and the footer and [.meta] digests over it) so the integrity gates
+   pass and the decode-time structural validation is what must reject the
+   damage (cleanly, at query time), [codec] feeds raw garbage and mutated
+   slices of real posting bodies to the posting decoders (must return or
+   raise [Coding.Malformed], nothing else), [sibling] mutates .labels /
+   .meta (open must return [Ok]/[Error], queries must not raise),
+   [failpoint] injects faults on the load and save paths, and [scrub]
+   drives the integrity scrub and repair.
 
    Fully deterministic: all randomness flows from --seed through splitmix64
    (Si_grammar.Prng), so a failing run reproduces exactly. *)
@@ -116,27 +117,34 @@ let queries =
   List.map Si_query.Parser.parse_exn
     [ "S(NP)(VP)"; "NP(DT)(NN)"; "S(//NN)"; "S(NP(DT)(NN))(VP)" ]
 
-type version = V4 | V3 | V2 | V1
-
-let version_name = function V4 -> "v4" | V3 -> "v3" | V2 -> "v2" | V1 -> "v1"
-
 type base = {
   name : string;
   scratch : string;  (** prefix whose files are rewritten per iteration *)
   files : (string * string) list;  (** pristine bytes per extension *)
-  version : version;
+  scheme : Coding.scheme;
   expected : (Si_query.Ast.t * (int * int) list) list;
 }
 
-(* checksummed containers: a mutation either fails the CRC gate or left the
-   bytes semantically intact, so surviving opens are oracle-checked *)
-let checksummed base = base.version <> V1
+let u64_at s off =
+  let v = ref 0 in
+  for i = 7 downto 0 do v := (!v lsl 8) lor Char.code s.[off + i] done;
+  !v
 
-(* rewriting the .idx in an older format invalidates the idx_crc the .meta
-   recorded at build time (the mixed-file-set detector would reject the
-   base as a torn save) — refit it to the rewritten bytes *)
+let set_u32 b off v =
+  for i = 0 to 3 do
+    Bytes.set b (off + i) (Char.chr ((v lsr (8 * i)) land 0xff))
+  done
+
+(* the postings region of SIDX4 bytes, from the footer's region table *)
+let postings_span s =
+  let len = String.length s in
+  let kindex_len = u64_at s (len - 56) and keydir_len = u64_at s (len - 48) in
+  (8 + kindex_len + keydir_len, u64_at s (len - 40))
+
+(* the [.meta] records the .idx footer digest (the mixed-file-set
+   detector): refit it after rewriting the .idx on purpose *)
 let refit_meta prefix =
-  let crc = Crc32.string (read_file (prefix ^ ".idx")) in
+  let crc = Builder.file_digest (prefix ^ ".idx") in
   let lines = String.split_on_char '\n' (read_file (prefix ^ ".meta")) in
   let lines =
     List.map
@@ -155,41 +163,40 @@ let make_bases dir =
       List.iter
         (fun mss ->
           List.iter
-            (fun version ->
+            (fun blocked ->
               let name =
-                Printf.sprintf "%s-mss%d-%s"
+                Printf.sprintf "%s-mss%d%s"
                   (Coding.scheme_to_string scheme)
-                  mss (version_name version)
+                  mss
+                  (if blocked then "-b4" else "")
               in
               let prefix = Filename.concat dir name in
               let trees =
                 Si_grammar.Generator.corpus ~seed:(100 + mss) ~n:25 ()
               in
-              let format = match version with V4 -> `Sidx4 | _ -> `Sidx3 in
-              let si = Si.build ~format ~scheme ~mss ~trees ~prefix () in
-              let rewrite save =
-                match save (Si.index si) (prefix ^ ".idx") with
+              let si = Si.build ~scheme ~mss ~trees ~prefix () in
+              if blocked then begin
+                (* the same postings in 4-entry blocks: real skip tables
+                   for the [skip] phase to damage *)
+                let docs = Array.of_list (List.map Si_treebank.Annotated.of_tree trees) in
+                (match
+                   Builder.save
+                     (Builder.build ~block_entries:4 ~scheme ~mss docs)
+                     (prefix ^ ".idx")
+                 with
                 | Ok () -> ()
-                | Error e -> failwith (Si_error.to_string e)
-              in
-              (match version with
-              | V4 | V3 -> ()  (* Si.build already saved this container *)
-              | V2 ->
-                  rewrite Builder.save_v2;
-                  refit_meta prefix
-              | V1 ->
-                  rewrite Builder.save_v1;
-                  refit_meta prefix);
+                | Error e -> failwith (Si_error.to_string e));
+                refit_meta prefix
+              end;
               let expected = List.map (fun q -> (q, Si.oracle si q)) queries in
               let files =
                 List.map
                   (fun ext -> (ext, read_file (prefix ^ ext)))
-                  ([ ".idx"; ".dat"; ".labels"; ".meta" ]
-                  @ match version with V4 -> [ ".trees" ] | _ -> [])
+                  [ ".idx"; ".trees"; ".labels"; ".meta" ]
               in
               let scratch = Filename.concat dir (name ^ "-scratch") in
-              bases := { name; scratch; files; version; expected } :: !bases)
-            [ V4; V3; V2; V1 ])
+              bases := { name; scratch; files; scheme; expected } :: !bases)
+            [ false; true ])
         [ 1; 3 ])
     [ Coding.Filter; Coding.Interval; Coding.Root_split ];
   Array.of_list (List.rev !bases)
@@ -206,6 +213,9 @@ type stats = {
   mutable skip_runs : int;
   mutable skip_rejected : int;  (** crc-refit mutation -> clean error *)
   mutable skip_opened : int;  (** opened; queries must not crash *)
+  mutable skip_caught : int;
+      (** opened, then a decode check rejected the damage at query time
+          (the handle quarantined itself) *)
   mutable codec_runs : int;
   mutable sibling_runs : int;
   mutable failpoint_runs : int;
@@ -214,8 +224,8 @@ type stats = {
   mutable scrub_repairs : int;  (** successful repair + oracle-exact reopen *)
 }
 
-(* every query on a surviving index must come back as a result; on a
-   checksummed (v2) file an [Ok] must equal the oracle *)
+(* every query on a surviving index must come back as a result; with
+   [oracle_checked] an [Ok] must equal the oracle *)
 let check_queries iter base si ~oracle_checked =
   List.iter
     (fun (q, want) ->
@@ -232,11 +242,9 @@ let check_queries iter base si ~oracle_checked =
 let fuzz_idx g bases st iter =
   let base = Prng.pick g bases in
   restore base;
-  (* V4 prefixes carry a second mapped file — the .trees corpus store —
-     under the same fully-checksummed contract as the .idx *)
-  let ext =
-    if base.version = V4 && Prng.int g 3 = 0 then ".trees" else ".idx"
-  in
+  (* the .trees corpus store is the second mapped file, under the same
+     fully-checksummed contract as the .idx *)
+  let ext = if Prng.int g 3 = 0 then ".trees" else ".idx" in
   let pristine = List.assoc ext base.files in
   let mutated = mutate g pristine in
   write_file (base.scratch ^ ext) mutated;
@@ -245,68 +253,66 @@ let fuzz_idx g bases st iter =
   | Error _ -> st.idx_rejected <- st.idx_rejected + 1
   | Ok si ->
       st.idx_opened <- st.idx_opened + 1;
-      (* v3/v2 opened => every checksum matched => answers must be correct;
-         v1 has no checksum, so only crash-freedom is asserted *)
-      check_queries iter base si
-        ~oracle_checked:(checksummed base && not (String.equal mutated pristine))
+      (* opened => every checksum touched so far matched, and anything the
+         lazy checks catch later quarantines to the corpus fallback: the
+         answers must be correct *)
+      check_queries iter base si ~oracle_checked:true
 
-(* [skip] phase: damage the SIDX3 postings region — block-skip tables,
-   block bodies, posting headers — then recompute the region CRC in the
-   footer so the load-time integrity gate passes.  The structural
-   validation (skip-table bounds, block tiling, first-tid monotonicity,
-   exact-length decode) is now the only line of defense: the file may be
-   rejected at load, or open and fail cleanly at query time, or decode to
+(* [skip] phase: damage the postings region — v3 block-skip tables and
+   block bodies, v4 interval slices, posting headers — then recompute the
+   region CRC, the footer CRC over it and the [.meta] digest over that, so
+   the integrity gates pass.  The structural validation (skip-table
+   bounds, block tiling, first-tid monotonicity, exact-length decode, v4
+   node resolution) is now the only line of defense: the file may be
+   rejected at open, or open and fail cleanly at query time, or decode to
    a valid-but-different posting — but it must never crash.  Oracle
    equality is deliberately not asserted: a refit mutation is
    indistinguishable from a legitimately different index. *)
-
-let u64_at s off =
-  let v = ref 0 in
-  for i = 7 downto 0 do v := (!v lsl 8) lor Char.code s.[off + i] done;
-  !v
-
-let fuzz_skip g v3_bases st iter =
-  let base = Prng.pick g v3_bases in
+let fuzz_skip g bases st iter =
+  let base = Prng.pick g bases in
   restore base;
   let pristine = List.assoc ".idx" base.files in
   let len = String.length pristine in
-  let keydir_len = u64_at pristine (len - 32) in
-  let postings_len = u64_at pristine (len - 24) in
-  let p_start = 8 + keydir_len in
+  let p_start, postings_len = postings_span pristine in
   if postings_len > 0 then begin
     st.skip_runs <- st.skip_runs + 1;
     let b = Bytes.of_string pristine in
     for _ = 1 to 1 + Prng.int g 4 do
       Bytes.set b (p_start + Prng.int g postings_len) (Char.chr (Prng.int g 256))
     done;
-    let s = Bytes.to_string b in
-    let crc = Crc32.substring s p_start postings_len in
-    for i = 0 to 3 do
-      Bytes.set b (len - 8 + i) (Char.chr ((crc lsr (8 * i)) land 0xff))
-    done;
+    set_u32 b (len - 12) (Crc32.substring (Bytes.to_string b) p_start postings_len);
+    set_u32 b (len - 8) (Crc32.substring (Bytes.to_string b) (len - 72) 64);
     write_file (base.scratch ^ ".idx") (Bytes.to_string b);
-    (* also refit the .meta whole-file cross-check, for the same reason:
-       the decode-time validation is the layer under test, not the gates *)
     refit_meta base.scratch;
     match Si.open_ base.scratch with
     | Error _ -> st.skip_rejected <- st.skip_rejected + 1
     | Ok si ->
         st.skip_opened <- st.skip_opened + 1;
-        check_queries iter base si ~oracle_checked:false
+        check_queries iter base si ~oracle_checked:false;
+        if Si.quarantined si then st.skip_caught <- st.skip_caught + 1
   end
 
-let fuzz_codec g st _iter =
+(* [codec] phase: the posting decoders on raw garbage, or on a mutated
+   slice of a real SIDX4 postings region (v3 bodies, or v4 slices for an
+   interval base) — bytes close enough to valid to get past the shallow
+   checks *)
+let fuzz_codec g bases st _iter =
   st.codec_runs <- st.codec_runs + 1;
-  let s = String.init (Prng.int g 200) (fun _ -> Char.chr (Prng.int g 256)) in
-  let scheme = Prng.pick g [| Coding.Filter; Coding.Interval; Coding.Root_split |] in
+  let s, scheme =
+    if Prng.int g 2 = 0 then
+      ( String.init (Prng.int g 200) (fun _ -> Char.chr (Prng.int g 256)),
+        Prng.pick g [| Coding.Filter; Coding.Interval; Coding.Root_split |] )
+    else begin
+      let base = Prng.pick g bases in
+      let idx = List.assoc ".idx" base.files in
+      let p_start, postings_len = postings_span idx in
+      let off = Prng.int g (max 1 postings_len) in
+      let n = min (1 + Prng.int g 200) (postings_len - off) in
+      (mutate g (String.sub idx (p_start + off) (max 0 n)), base.scheme)
+    end
+  in
   let key_size = 1 + Prng.int g 4 in
-  (match Coding.unpack scheme ~key_size (Coding.str s) 0 with
-  | _ -> ()
-  | exception Coding.Malformed _ -> ());
-  (match Coding.read scheme ~key_size (Coding.str s) 0 with
-  | _ -> ()
-  | exception Coding.Malformed _ -> ());
-  (* the v3 container decoders obey the same contract on garbage *)
+  (* the v3 container decoders *)
   (match Coding.unpack_v3 scheme ~key_size (Coding.str s) 0 with
   | _ -> ()
   | exception Coding.Malformed _ -> ());
@@ -323,7 +329,7 @@ let fuzz_codec g st _iter =
 let fuzz_sibling g bases st iter =
   let base = Prng.pick g bases in
   restore base;
-  let ext = Prng.pick g [| ".dat"; ".labels"; ".meta" |] in
+  let ext = Prng.pick g [| ".labels"; ".meta" |] in
   write_file (base.scratch ^ ext) (mutate g (List.assoc ext base.files));
   st.sibling_runs <- st.sibling_runs + 1;
   match Si.open_ base.scratch with
@@ -399,9 +405,8 @@ let fuzz_failpoint g bases st iter =
           failwith ("pristine scratch failed to open: " ^ Si_error.to_string e)
     in
     let trees = Si_grammar.Generator.corpus ~seed:iter ~n:6 () in
-    let format = match base.version with V4 -> `Sidx4 | _ -> `Sidx3 in
     (match
-       Si.build ~format ~scheme:(Si.scheme si0) ~mss:(Si.mss si0) ~trees
+       Si.build ~scheme:(Si.scheme si0) ~mss:(Si.mss si0) ~trees
          ~prefix:base.scratch ()
      with
     | _ ->
@@ -422,8 +427,7 @@ let fuzz_failpoint g bases st iter =
    it must never raise, a pristine prefix must scrub clean, and a
    quarantined handle must keep answering oracle-exact via the corpus
    fallback.  Half the damaged runs then repair: a successful repair must
-   reopen to an oracle-correct index (the rebuild sources the corpus, so
-   even an unchecksummed V1 mutation repairs to the truth). *)
+   reopen to an oracle-correct index (the rebuild sources the corpus). *)
 
 let fuzz_scrub g bases st iter =
   let base = Prng.pick g bases in
@@ -433,8 +437,7 @@ let fuzz_scrub g bases st iter =
     match Prng.int g 3 with
     | 0 -> None
     | _ ->
-        Some
-          (if base.version = V4 && Prng.int g 3 = 0 then ".trees" else ".idx")
+        Some (if Prng.int g 3 = 0 then ".trees" else ".idx")
   in
   let changed =
     match mutated_ext with
@@ -466,9 +469,9 @@ let fuzz_scrub g bases st iter =
           if (not changed) && r.Scrub.complete && not r.Scrub.clean then
             fail_iter iter "pristine %s scrubbed dirty (bad: %s)" base.name
               (String.concat " " r.Scrub.bad_regions);
-          (* quarantined or not, every answer is clean — and exact on a
-             checksummed base (the fallback is the oracle) *)
-          check_queries iter base si ~oracle_checked:(checksummed base);
+          (* quarantined or not, every answer is clean — and exact (the
+             fallback is the oracle) *)
+          check_queries iter base si ~oracle_checked:true;
           if changed && Prng.int g 2 = 0 then (
             match Si.repair si with
             | Error _ -> ()  (* e.g. the corpus store itself is damaged *)
@@ -482,7 +485,7 @@ let fuzz_scrub g bases st iter =
                 | Ok si' ->
                     st.scrub_repairs <- st.scrub_repairs + 1;
                     (* the rebuild sourced the (verified) corpus, so the
-                       repaired answers are the truth even on V1 bases *)
+                       repaired answers are the truth *)
                     check_queries iter base si' ~oracle_checked:true)))
 
 (* ---- driver ------------------------------------------------------------- *)
@@ -507,10 +510,6 @@ let () =
       Unix.rmdir dir)
   @@ fun () ->
   let bases = make_bases dir in
-  let v3_bases =
-    Array.of_list
-      (List.filter (fun b -> b.version = V3) (Array.to_list bases))
-  in
   let g = Prng.create !seed in
   let st =
     {
@@ -520,6 +519,7 @@ let () =
       skip_runs = 0;
       skip_rejected = 0;
       skip_opened = 0;
+      skip_caught = 0;
       codec_runs = 0;
       sibling_runs = 0;
       failpoint_runs = 0;
@@ -536,17 +536,18 @@ let () =
     in
     let phase = Prng.int g 16 in
     if phase < 6 then run (fun () -> fuzz_idx g bases st iter)
-    else if phase < 9 then run (fun () -> fuzz_skip g v3_bases st iter)
-    else if phase < 11 then run (fun () -> fuzz_codec g st iter)
+    else if phase < 9 then run (fun () -> fuzz_skip g bases st iter)
+    else if phase < 11 then run (fun () -> fuzz_codec g bases st iter)
     else if phase < 12 then run (fun () -> fuzz_sibling g bases st iter)
     else if phase < 14 then run (fun () -> fuzz_failpoint g bases st iter)
     else run (fun () -> fuzz_scrub g bases st iter)
   done;
   Printf.printf
     "fuzz: %d iterations, %d failures (idx: %d runs, %d rejected, %d survived; \
-     skip: %d runs, %d rejected, %d survived; codec: %d; sibling: %d; \
+     skip: %d runs, %d rejected, %d survived, %d caught at decode; codec: %d; \
+     sibling: %d; \
      failpoint: %d; scrub: %d runs, %d rejected, %d repaired)\n"
     !iters !failures st.idx_runs st.idx_rejected st.idx_opened st.skip_runs
-    st.skip_rejected st.skip_opened st.codec_runs st.sibling_runs
+    st.skip_rejected st.skip_opened st.skip_caught st.codec_runs st.sibling_runs
     st.failpoint_runs st.scrub_runs st.scrub_rejected st.scrub_repairs;
   if !failures > 0 then exit 1

@@ -4,15 +4,13 @@
 #   1. O(1) open — `si_tool openbench` on a 2 000-tree and a 20 000-tree
 #      SIDX4 index: the large open must stay under a fixed wall-clock
 #      ceiling AND within a small factor of the small open (flat in
-#      scale), while the heap SIDX3 open at 20 000 trees must be at
-#      least an order of magnitude slower than the mapped open.
-#   2. Results parity at scale — query counts over the 20 000-tree
-#      corpus must agree between the SIDX3 and SIDX4 containers.
-#   3. Live swap SIDX3 -> SIDX4 — a serving process is swapped from the
-#      heap container to the mapped one while two client loops hammer
-#      it: zero dropped in-flight queries, identical counts across the
-#      generation boundary, and post-swap STATS must report the mapped
-#      backend.
+#      scale).
+#   2. Exact at scale — `query --check-oracle` over the 20 000-tree
+#      corpus: the mapped answers must equal the brute-force matcher's.
+#   3. Live swap SIDX4 -> a freshly rebuilt SIDX4 generation — a serving
+#      process is swapped while two client loops hammer it: zero dropped
+#      in-flight queries, identical counts across the generation
+#      boundary, and post-swap STATS must report the mapped backend.
 set -euo pipefail
 
 TOOL="$1"
@@ -31,8 +29,6 @@ fail() { echo "mmap_smoke FAIL: $*" >&2; exit 1; }
 OPEN_CEILING_MS=50
 # "flat in scale": 10x the trees may cost at most this factor in open time
 FLATNESS_FACTOR=8
-# the mapped open must beat the heap open by at least this factor at 20k
-SPEEDUP_FLOOR=10
 
 # ---- fixtures ------------------------------------------------------------
 echo "== building corpora (2k / 20k trees) =="
@@ -43,7 +39,7 @@ echo "== building corpora (2k / 20k trees) =="
   --scheme interval --mss 3 --format sidx4 >/dev/null
 "$TOOL" build --corpus "$DIR/big.penn" --prefix "$DIR/big4" \
   --scheme interval --mss 3 --format sidx4 >/dev/null
-"$TOOL" build --corpus "$DIR/big.penn" --prefix "$DIR/big3" \
+"$TOOL" build --corpus "$DIR/big.penn" --prefix "$DIR/big4b" \
   --scheme interval --mss 3 >/dev/null
 
 open_min() { # open_min PREFIX EXPECTED_BACKEND
@@ -56,35 +52,32 @@ open_min() { # open_min PREFIX EXPECTED_BACKEND
 # ---- 1. O(1) open --------------------------------------------------------
 small4_ms=$(open_min "$DIR/small4" mapped)
 big4_ms=$(open_min "$DIR/big4" mapped)
-big3_ms=$(open_min "$DIR/big3" heap)
-echo "open_ms_min: sidx4@2k=$small4_ms sidx4@20k=$big4_ms sidx3@20k=$big3_ms"
+echo "open_ms_min: sidx4@2k=$small4_ms sidx4@20k=$big4_ms"
 
 awk -v b="$big4_ms" -v c="$OPEN_CEILING_MS" 'BEGIN{exit !(b < c)}' \
   || fail "mapped open at 20k trees over ceiling: ${big4_ms}ms >= ${OPEN_CEILING_MS}ms"
 awk -v s="$small4_ms" -v b="$big4_ms" -v f="$FLATNESS_FACTOR" \
   'BEGIN{exit !(b < f * s)}' \
   || fail "mapped open not flat in scale: 2k=${small4_ms}ms -> 20k=${big4_ms}ms"
-awk -v h="$big3_ms" -v m="$big4_ms" -v f="$SPEEDUP_FLOOR" \
-  'BEGIN{exit !(h > f * m)}' \
-  || fail "mapped open only $(awk -v h="$big3_ms" -v m="$big4_ms" 'BEGIN{printf "%.1f", h/m}')x faster than heap at 20k (need ${SPEEDUP_FLOOR}x)"
 
-# ---- 2. results parity at scale ------------------------------------------
+# ---- 2. exact at scale ---------------------------------------------------
 count_of() { # count_of PREFIX QUERY  -> match count
   "$TOOL" query --prefix "$1" "$2" | head -1 | awk '{print $1}'
 }
 for q in 'S(NP)(VP)' 'S(NP(DT)(NN))(VP)' 'S(//PP(IN)(NP))'; do
-  c3=$(count_of "$DIR/big3" "$q")
-  c4=$(count_of "$DIR/big4" "$q")
-  [ "$c3" = "$c4" ] || fail "count mismatch at 20k for $q: sidx3=$c3 sidx4=$c4"
-  [ "$c3" -gt 0 ] || fail "empty result for $q — fixture too sparse to be a gate"
+  out=$("$TOOL" query --prefix "$DIR/big4" "$q" --check-oracle) \
+    || fail "oracle mismatch at 20k for $q: $out"
+  grep -q 'oracle: OK' <<<"$out" || fail "no oracle verdict at 20k for $q: $out"
+  c=$(head -1 <<<"$out" | awk '{print $1}')
+  [ "$c" -gt 0 ] || fail "empty result for $q — fixture too sparse to be a gate"
 done
-echo "results parity at 20k trees OK"
+echo "oracle-exact at 20k trees OK"
 
-# ---- 3. live swap SIDX3 -> SIDX4, zero dropped queries -------------------
+# ---- 3. live swap to a rebuilt generation, zero dropped queries ----------
 Q='S(NP(DT)(NN))(VP)'
-EXPECT=$(count_of "$DIR/big3" "$Q")
+EXPECT=$(count_of "$DIR/big4" "$Q")
 
-"$TOOL" serve --prefix "$DIR/big3" --listen 0 >"$DIR/server.log" 2>&1 &
+"$TOOL" serve --prefix "$DIR/big4" --listen 0 >"$DIR/server.log" 2>&1 &
 SRV_PID=$!
 PORT=""
 for _ in $(seq 100); do
@@ -112,12 +105,12 @@ client_loop() { # client_loop OUTFILE
 client_loop "$DIR/c1.out" & C1=$!
 client_loop "$DIR/c2.out" & C2=$!
 sleep 0.15
-out=$(req "SWAP $DIR/big4")
-grep -q 'OK gen=2' <<<"$out" || fail "SWAP to sidx4: $out"
+out=$(req "SWAP $DIR/big4b")
+grep -q 'OK gen=2' <<<"$out" || fail "SWAP to the rebuilt generation: $out"
 wait "$C1" "$C2"
 
 answers=$(grep -h '^OK n=' "$DIR/c1.out" "$DIR/c2.out" | wc -l)
-[ "$answers" = 80 ] || fail "dropped requests during sidx3->sidx4 swap: $answers/80 answered"
+[ "$answers" = 80 ] || fail "dropped requests during the swap: $answers/80 answered"
 # same corpus on both sides of the swap: every answer must carry the
 # oracle count whichever generation served it
 bad=$(grep -h '^OK n=' "$DIR/c1.out" "$DIR/c2.out" \
@@ -134,4 +127,4 @@ wait "$SRV_PID" 2>/dev/null || true
 SRV_PID=""
 grep -q 'shutdown complete' "$DIR/server.log" || fail "no graceful drain in log"
 
-echo "mmap_smoke OK: 20k-tree mapped open=${big4_ms}ms (heap ${big3_ms}ms), swap served 80/80"
+echo "mmap_smoke OK: 20k-tree mapped open=${big4_ms}ms (2k: ${small4_ms}ms), swap served 80/80"

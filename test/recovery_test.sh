@@ -21,7 +21,7 @@ PFX="$DIR/ix"
   --scheme root-split --mss 3 >/dev/null
 
 QUERY='S(NP(DT)(NN))(VP)'
-for ext in .idx .dat .labels .meta; do
+for ext in .idx .trees .labels .meta; do
   cp "$PFX$ext" "$DIR/pristine$ext"
 done
 
@@ -47,7 +47,7 @@ for point in "${POINTS[@]}"; do
     exit 1
   fi
   # the published files survived the crash byte-for-byte
-  for ext in .idx .dat .labels .meta; do
+  for ext in .idx .trees .labels .meta; do
     cmp -s "$PFX$ext" "$DIR/pristine$ext" || {
       echo "FAIL: $point: $PFX$ext changed under a crashed build" >&2
       exit 1

@@ -41,11 +41,11 @@ Q='S(NP(DT)(NN))(VP)'
 CLEAN=$("$TOOL" query --prefix "$PFX" "$Q" | head -1 | awk '{print $1}')
 [ -n "$CLEAN" ] || fail "no baseline count"
 
-for ext in .idx .dat .labels .meta .trees; do
+for ext in .idx .trees .labels .meta; do
   cp "$PFX$ext" "$DIR/pristine$ext"
 done
 reset_state() {
-  for ext in .idx .dat .labels .meta .trees; do
+  for ext in .idx .trees .labels .meta; do
     cp "$DIR/pristine$ext" "$PFX$ext"
   done
   rm -f "$PFX.wal"

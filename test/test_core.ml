@@ -10,11 +10,25 @@ let ok_exn what = function
 let save_exn b p = ok_exn "save" (Builder.save b p)
 let load_exn p = ok_exn "load" (Builder.load p)
 
+(* Postings the packers accept: sorted unique tids, every interval
+   honouring post = pre + size - 1 - level with post >= 0, instance nodes
+   strictly below their root. *)
 let interval_gen =
   QCheck.Gen.(
     map3
-      (fun pre post level -> { Coding.pre; post; level })
-      (int_bound 10_000) (int_bound 10_000) (int_bound 30))
+      (fun level extra size ->
+        let pre = level + extra in
+        { Coding.pre; post = pre + size - 1 - level; level })
+      (int_bound 30) (int_bound 10_000) (1 -- 50))
+
+let below root =
+  QCheck.Gen.(
+    map3
+      (fun x dlevel size ->
+        let level = root.Coding.level + dlevel in
+        let pre = root.Coding.pre + dlevel + x in
+        { Coding.pre; post = pre + size - 1 - level; level })
+      (0 -- 40) (1 -- 5) (1 -- 20))
 
 let posting_gen =
   let open QCheck.Gen in
@@ -22,12 +36,22 @@ let posting_gen =
   oneof
     [
       map (fun l -> Coding.Filter_p (Array.of_list l)) tids;
-      ( pair tids (1 -- 4) >>= fun (ts, k) ->
+      ( pair tids (0 -- 3) >>= fun (ts, k) ->
         map
-          (fun ivss ->
-            Coding.Interval_p
-              (Array.of_list (List.combine ts (List.map Array.of_list ivss))))
-          (list_repeat (List.length ts) (list_repeat k interval_gen)) );
+          (fun rows -> Coding.Interval_p (Array.of_list (List.combine ts rows)))
+          (list_repeat (List.length ts)
+             ( interval_gen >>= fun root ->
+               (* distinct pres: (tid, pre) names one node, as in a corpus *)
+               map
+                 (fun ivs ->
+                   Array.of_list
+                     (root
+                     :: List.mapi
+                          (fun i iv ->
+                            { iv with Coding.pre = iv.Coding.pre + (100 * i);
+                                      post = iv.Coding.post + (100 * i) })
+                          ivs))
+                 (list_repeat k (below root)) )) );
       ( tids >>= fun ts ->
         map
           (fun ivs -> Coding.Root_p (Array.of_list (List.combine ts ivs)))
@@ -44,39 +68,73 @@ let scheme_of = function
   | Coding.Interval_p _ -> Coding.Interval
   | Coding.Root_p _ -> Coding.Root_split
 
+(* a [resolve] for v4 decoding that serves exactly the intervals [p]
+   names, the role the corpus store plays in an opened index *)
+let resolver_of p =
+  let tbl = Hashtbl.create 64 in
+  (match p with
+  | Coding.Interval_p rows ->
+      Array.iter
+        (fun (tid, ivs) ->
+          Array.iter (fun iv -> Hashtbl.replace tbl (tid, iv.Coding.pre) iv) ivs)
+        rows
+  | _ -> ());
+  fun tid pre ->
+    match Hashtbl.find_opt tbl (tid, pre) with
+    | Some iv -> iv
+    | None -> raise (Coding.Malformed { offset = 0; what = "unresolvable node" })
+
+(* pack with the v3 container (and, for interval postings, the v4 slice
+   encoding) at [block_entries], unpack, and compare *)
+let roundtrips ?block_entries p =
+  (* the shrinker may step below the generator's range *)
+  let block_entries = Option.map (max 1) block_entries in
+  let key_size = key_size_of p in
+  let v3 =
+    let buf = Buffer.create 64 in
+    Coding.pack_v3 ?block_entries buf p;
+    let s = Buffer.contents buf in
+    let p', off = Coding.unpack_v3 (scheme_of p) ~key_size (Coding.str s) 0 in
+    p = p' && off = String.length s
+  in
+  let v4 =
+    match p with
+    | Coding.Interval_p _ ->
+        let buf = Buffer.create 64 in
+        Coding.pack_v4 ?block_entries buf p;
+        let s = Buffer.contents buf in
+        let p', off =
+          Coding.unpack_v4 ~key_size ~resolve:(resolver_of p) (Coding.str s) 0
+        in
+        p = p' && off = String.length s
+    | _ -> true
+  in
+  v3 && v4
+
 let prop_posting_codec =
   QCheck.Test.make ~name:"posting codec roundtrip" ~count:300
-    (QCheck.make posting_gen) (fun p ->
-      let buf = Buffer.create 64 in
-      Coding.write buf p;
-      let s = Buffer.contents buf in
-      let p', off = Coding.read (scheme_of p) ~key_size:(key_size_of p) (Coding.str s) 0 in
-      p = p' && off = String.length s)
+    QCheck.(pair (make posting_gen) (int_range 1 8))
+    (fun (p, block_entries) -> roundtrips ~block_entries p)
 
 let corpus n seed = Si_grammar.Generator.corpus ~seed ~n ()
 let docs trees = Array.of_list (List.map Annotated.of_tree trees)
 
-(* SIDX2 packing relies on corpus invariants (post = pre + size - 1 - level,
-   instance nodes descend from the instance root), so its roundtrip is
-   checked on postings from real builds rather than free-form generators. *)
+(* the same roundtrip on postings from real builds, blocked and flat *)
 let prop_pack_roundtrip =
-  QCheck.Test.make ~name:"SIDX2 pack/unpack roundtrip (built postings)"
+  QCheck.Test.make ~name:"v3/v4 pack/unpack roundtrip (built postings)"
     ~count:12
     QCheck.(pair (int_range 1 3) small_nat)
     (fun (mss, seed) ->
       List.iter
         (fun scheme ->
           let b = Builder.build ~scheme ~mss (docs (corpus 30 (seed + 3))) in
-          Builder.iter b (fun key p ->
-              let buf = Buffer.create 64 in
-              Coding.pack buf p;
-              let s = Buffer.contents buf in
-              let p', off =
-                Coding.unpack scheme ~key_size:(Si_subtree.Canonical.key_size key) (Coding.str s) 0
-              in
-              if p <> p' || off <> String.length s then
-                QCheck.Test.fail_reportf "pack/unpack mismatch (%s, mss=%d)"
-                  (Coding.scheme_to_string scheme) mss))
+          Builder.iter b (fun _ p ->
+              List.iter
+                (fun block_entries ->
+                  if not (roundtrips ~block_entries p) then
+                    QCheck.Test.fail_reportf "pack/unpack mismatch (%s, mss=%d)"
+                      (Coding.scheme_to_string scheme) mss)
+                [ 3; Coding.default_block_entries ]))
         [ Coding.Filter; Coding.Interval; Coding.Root_split ];
       true)
 
@@ -131,6 +189,15 @@ let test_keys_grow_with_mss () =
   let k1 = keys 1 and k2 = keys 2 and k3 = keys 3 in
   Alcotest.(check bool) "k1 < k2 < k3" true (k1 < k2 && k2 < k3)
 
+(* An SIDX4 file names interval nodes by (tid, pre); outside {!Si} the
+   caller supplies the corpus that resolves them. *)
+let load_over d p =
+  let b = load_exn p in
+  Builder.set_resolve b (fun tid pre ->
+      let doc = d.(tid) in
+      { Coding.pre; post = doc.Annotated.post.(pre); level = doc.Annotated.level.(pre) });
+  b
+
 let test_builder_save_load () =
   let d = docs (corpus 30 19) in
   let path = Filename.temp_file "si_test" ".idx" in
@@ -141,13 +208,12 @@ let test_builder_save_load () =
         (fun scheme ->
           let b = Builder.build ~scheme ~mss:3 d in
           save_exn b path;
-          let b' = load_exn path in
+          let b' = load_over d path in
+          Alcotest.(check bool) "mapped" true (Builder.is_mapped b');
           Alcotest.(check bool) "scheme" true (b'.Builder.scheme = scheme);
           Alcotest.(check int) "mss" 3 b'.Builder.mss;
           Alcotest.(check int) "keys" b.Builder.stats.Builder.keys
             b'.Builder.stats.Builder.keys;
-          Alcotest.(check int) "postings stat survives lazy load"
-            b.Builder.stats.Builder.postings b'.Builder.stats.Builder.postings;
           Alcotest.(check int) "table size" (Builder.n_keys b) (Builder.n_keys b');
           Builder.iter b (fun key p ->
               match Builder.find_exn b' key with
@@ -252,62 +318,6 @@ let prop_parallel_byte_identical =
         [ Coding.Filter; Coding.Interval; Coding.Root_split ];
       true)
 
-(* SIDX2 differential: a saved-and-lazily-reloaded index answers every
-   query exactly like in-memory evaluation and the brute-force oracle *)
-let prop_sidx2_differential =
-  QCheck.Test.make ~name:"SIDX2 lazy reload matches eval and oracle" ~count:5
-    QCheck.(pair (int_range 1 4) small_nat)
-    (fun (mss, seed) ->
-      let d = docs (corpus 60 (seed + 211)) in
-      List.iter
-        (fun scheme ->
-          let b = Builder.build ~scheme ~mss d in
-          let b' = with_temp (fun p -> save_exn b p; load_exn p) in
-          List.iter
-            (fun q ->
-              let mem = Eval.run_exn ~index:b ~corpus:(Corpus.of_array d) q in
-              let lazy_ = Eval.run_exn ~index:b' ~corpus:(Corpus.of_array d) q in
-              let want = Si_query.Matcher.corpus_roots d q in
-              if mem <> lazy_ || lazy_ <> want then
-                QCheck.Test.fail_reportf "SIDX2 mismatch on %s (%s, mss=%d)"
-                  (Si_query.Ast.to_string q)
-                  (Coding.scheme_to_string scheme)
-                  mss)
-            queries)
-        [ Coding.Filter; Coding.Interval; Coding.Root_split ];
-      true)
-
-let test_sidx1_compat () =
-  (* a legacy SIDX1 file loads into the same index as the SIDX2 file *)
-  let d = docs (corpus 40 37) in
-  List.iter
-    (fun scheme ->
-      let b = Builder.build ~scheme ~mss:3 d in
-      let via_v1 =
-        with_temp (fun p -> ok_exn "save_v1" (Builder.save_v1 b p); load_exn p)
-      in
-      Alcotest.(check int) "keys" (Builder.n_keys b) (Builder.n_keys via_v1);
-      Builder.iter b (fun key p ->
-          match Builder.find_exn via_v1 key with
-          | Some p' -> Alcotest.(check bool) "posting equal" true (p = p')
-          | None -> Alcotest.fail "key lost in SIDX1 roundtrip"))
-    [ Coding.Filter; Coding.Interval; Coding.Root_split ]
-
-let test_sidx2_smaller_than_sidx1 () =
-  let d = docs (corpus 200 41) in
-  List.iter
-    (fun scheme ->
-      let b = Builder.build ~scheme ~mss:3 d in
-      let size save =
-        with_temp (fun p -> ok_exn "save" (save b p); (Unix.stat p).Unix.st_size)
-      in
-      let v2 = size Builder.save and v1 = size Builder.save_v1 in
-      Alcotest.(check bool)
-        (Printf.sprintf "SIDX2 (%d) < SIDX1 (%d) for %s" v2 v1
-           (Coding.scheme_to_string scheme))
-        true (v2 < v1))
-    [ Coding.Filter; Coding.Interval; Coding.Root_split ]
-
 (* ---- error taxonomy: one regression per Si_error variant -------------- *)
 
 let write_bytes p s =
@@ -344,11 +354,12 @@ let test_load_corrupt_taxonomy () =
       save_exn b p;
       let full = read_file p in
       write_bytes p (String.sub full 0 (String.length full / 2));
-      expect_corrupt "truncated SIDX2" p;
-      (* missing footer (pre-checksum SIDX2 shape) *)
-      write_bytes p (String.sub full 0 (String.length full - 32));
+      expect_corrupt "truncated body" p;
+      (* missing footer *)
+      write_bytes p (String.sub full 0 (String.length full - 72));
       expect_corrupt "missing footer" p;
-      (* single flipped bit in the postings region *)
+      (* single flipped bit in the footer: caught at open (body flips are
+         caught lazily, on first touch — test_mmap covers those) *)
       let n = String.length full in
       let flipped = Bytes.of_string full in
       Bytes.set flipped (n - 40) (Char.chr (Char.code full.[n - 40] lxor 0x01));
@@ -357,6 +368,42 @@ let test_load_corrupt_taxonomy () =
       (* intact file still loads after all that *)
       write_bytes p full;
       ignore (load_exn p))
+
+(* An .idx in a retired container is an index this program no longer
+   reads — a schema mismatch that asks for a rebuild, not corruption. *)
+let test_legacy_magic_refused () =
+  let dir = Filename.temp_file "si_test" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      let p = Filename.concat dir "ix" in
+      ignore (Si.build ~scheme:Coding.Root_split ~mss:2 ~trees:(corpus 20 61) ~prefix:p ());
+      let full = read_file (p ^ ".idx") in
+      List.iter
+        (fun magic ->
+          (* the old header on otherwise intact bytes *)
+          write_bytes (p ^ ".idx")
+            (magic ^ String.sub full (String.length magic)
+                       (String.length full - String.length magic));
+          match Si.open_ p with
+          | Error (Si_error.Schema_mismatch { what; _ }) ->
+              Alcotest.(check bool) (magic ^ ": asks for a rebuild") true
+                (let n = String.length "rebuild" in
+                 let rec has i =
+                   i + n <= String.length what
+                   && (String.sub what i n = "rebuild" || has (i + 1))
+                 in
+                 has 0)
+          | Error e ->
+              Alcotest.failf "%S: wrong error: %s" magic (Si_error.to_string e)
+          | Ok _ -> Alcotest.failf "%S: retired container opened" magic)
+        [ "SIDX1\n"; "SIDX2\n"; "SIDX3\n" ];
+      write_bytes (p ^ ".idx") full;
+      ignore (ok_exn "intact reopen" (Si.open_ p)))
 
 let test_error_io () =
   match Builder.load "/nonexistent/si_test.idx" with
@@ -408,20 +455,36 @@ let test_atomic_save () =
 
 (* ---- pack-time validation (adversarial posting shapes) ---------------- *)
 
+(* both packers validate: v3 for every coding, v4 for interval postings *)
 let expect_pack_invalid what p =
   let buf = Buffer.create 16 in
-  match Coding.pack buf p with
+  (match Coding.pack_v3 buf p with
   | exception Invalid_argument _ -> ()
-  | () -> Alcotest.failf "%s: packed without complaint" what
+  | () -> Alcotest.failf "%s: pack_v3 packed without complaint" what);
+  match p with
+  | Coding.Interval_p _ -> (
+      match Coding.pack_v4 buf p with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s: pack_v4 packed without complaint" what)
+  | _ -> ()
 
 let test_pack_validation () =
   let iv pre level size = { Coding.pre; post = pre + size - 1 - level; level } in
   (* well-formed shapes pack fine *)
   let buf = Buffer.create 16 in
-  Coding.pack buf (Coding.Filter_p [| 0; 1; 5 |]);
-  Coding.pack buf (Coding.Root_p [| (0, iv 0 0 3); (0, iv 2 1 1); (4, iv 1 1 2) |]);
-  Coding.pack buf
-    (Coding.Interval_p [| (1, [| iv 3 1 2; iv 4 2 1 |]) |]);
+  Coding.pack_v3 buf (Coding.Filter_p [| 0; 1; 5 |]);
+  Coding.pack_v3 buf (Coding.Root_p [| (0, iv 0 0 3); (0, iv 2 1 1); (4, iv 1 1 2) |]);
+  Coding.pack_v3 ~block_entries:1 buf
+    (Coding.Interval_p [| (1, [| iv 3 1 2; iv 4 2 1 |]); (2, [| iv 0 0 2; iv 1 1 1 |]) |]);
+  Coding.pack_v4 ~block_entries:1 buf
+    (Coding.Interval_p [| (1, [| iv 3 1 2; iv 4 2 1 |]); (2, [| iv 0 0 2; iv 1 1 1 |]) |]);
+  (* v4 names interval nodes only *)
+  (match Coding.pack_v4 buf (Coding.Filter_p [| 0 |]) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "pack_v4 packed a filter posting");
+  (match Coding.pack_v3 ~block_entries:0 buf (Coding.Filter_p [| 0 |]) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "pack_v3 accepted block_entries = 0");
   (* adversarial shapes are rejected, not silently mis-encoded *)
   expect_pack_invalid "unsorted filter tids" (Coding.Filter_p [| 3; 1 |]);
   expect_pack_invalid "duplicate filter tid" (Coding.Filter_p [| 2; 2 |]);
@@ -437,7 +500,8 @@ let test_pack_validation () =
     (Coding.Interval_p [| (0, [| iv 5 2 2; iv 3 1 1 |]) |])
 
 (* unpack on random garbage: returns or raises Malformed — never anything
-   else, never a crash *)
+   else, never a crash.  Covers the v3 container (layout, skip table,
+   slices) and the v4 slices, whose resolver here answers any node. *)
 let prop_unpack_garbage =
   QCheck.Test.make ~name:"unpack(garbage) = posting or Malformed" ~count:2000
     QCheck.(
@@ -447,10 +511,11 @@ let prop_unpack_garbage =
       let scheme =
         match si with 0 -> Coding.Filter | 1 -> Coding.Interval | _ -> Coding.Root_split
       in
-      (match Coding.unpack scheme ~key_size (Coding.str s) 0 with
+      (match Coding.unpack_v3 scheme ~key_size (Coding.str s) 0 with
       | _ -> ()
       | exception Coding.Malformed _ -> ());
-      (match Coding.read scheme ~key_size (Coding.str s) 0 with
+      let resolve _ pre = { Coding.pre; post = pre; level = 0 } in
+      (match Coding.unpack_v4 ~key_size ~resolve (Coding.str s) 0 with
       | _ -> ()
       | exception Coding.Malformed _ -> ());
       true)
@@ -491,13 +556,10 @@ let prop_pack_roundtrip_adversarial =
       ]
   in
   QCheck.Test.make ~name:"pack/unpack roundtrip (adversarial legal shapes)"
-    ~count:500 (QCheck.make legal_gen) (fun p ->
-      let buf = Buffer.create 64 in
-      Coding.pack buf p;
-      let s = Buffer.contents buf in
-      let key_size = key_size_of p in
-      let p', off = Coding.unpack (scheme_of p) ~key_size (Coding.str s) 0 in
-      p = p' && off = String.length s)
+    ~count:500
+    QCheck.(pair (make legal_gen) (int_range 1 4))
+    (fun (p, block_entries) ->
+      roundtrips p && roundtrips ~block_entries p)
 
 let test_si_roundtrip () =
   let trees = corpus 80 23 in
@@ -557,10 +619,9 @@ let suite =
     Alcotest.test_case "keys grow with mss" `Quick test_keys_grow_with_mss;
     Alcotest.test_case "builder save/load" `Quick test_builder_save_load;
     qcheck prop_parallel_byte_identical;
-    qcheck prop_sidx2_differential;
-    Alcotest.test_case "SIDX1 compat load" `Quick test_sidx1_compat;
-    Alcotest.test_case "SIDX2 smaller than SIDX1" `Quick test_sidx2_smaller_than_sidx1;
     Alcotest.test_case "corrupt-load taxonomy" `Quick test_load_corrupt_taxonomy;
+    Alcotest.test_case "legacy SIDX1-3 .idx -> Schema_mismatch" `Quick
+      test_legacy_magic_refused;
     Alcotest.test_case "Si_error.Io on missing file" `Quick test_error_io;
     Alcotest.test_case "Si_error.Bad_query on syntax error" `Quick test_error_bad_query;
     Alcotest.test_case "Si_error.Schema_mismatch on crossed .meta" `Quick

@@ -284,9 +284,25 @@ let test_meta_idx_crc_cross_check () =
       let _ =
         Si.build ~scheme:Coding.Interval ~mss:2 ~trees:(corpus 40 5) ~prefix ()
       in
-      Alcotest.(check bool) "loaded file_crc recorded" true
-        (let si = ok_exn "open" (Si.open_ prefix) in
-         (Si.index si).Builder.file_crc <> None);
+      let idx_crc_line () =
+        List.find
+          (fun l -> String.length l >= 8 && String.sub l 0 8 = "idx_crc=")
+          (String.split_on_char '\n'
+             (In_channel.with_open_bin (prefix ^ ".meta") In_channel.input_all))
+      in
+      Alcotest.(check string) "idx_crc is the .idx footer digest"
+        ("idx_crc=" ^ string_of_int (Builder.file_digest (prefix ^ ".idx")))
+        (idx_crc_line ());
+      (* a .meta written before the digest recorded the whole file's
+         CRC-32: still the same file, still accepted *)
+      let whole =
+        Crc32.string (In_channel.with_open_bin (prefix ^ ".idx") In_channel.input_all)
+      in
+      rewrite_meta (prefix ^ ".meta") (fun l ->
+          if String.length l >= 8 && String.sub l 0 8 = "idx_crc=" then
+            Some ("idx_crc=" ^ string_of_int whole)
+          else Some l);
+      ignore (ok_exn "whole-file idx_crc" (Si.open_ prefix));
       (* a wrong idx_crc means a mixed file set: refused, not answered *)
       rewrite_meta (prefix ^ ".meta") (fun l ->
           if String.length l >= 8 && String.sub l 0 8 = "idx_crc=" then

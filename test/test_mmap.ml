@@ -1,7 +1,7 @@
 (* The SIDX4 mmap-resident backend and its corpus store.
 
    The contract under test: an SIDX4 prefix answers *byte-identically* to
-   the same index persisted as SIDX3 (and to the brute-force oracle), the
+   the in-memory index it was built from (and to the brute-force oracle), the
    corpus store reconstructs exactly the annotation a Penn re-parse would
    build, open-time work is O(1) with region CRCs verifying lazily, and a
    damaged file surfaces as [Corrupt] — never a crash and never a silently
@@ -43,30 +43,29 @@ let with_dir f =
       Unix.rmdir dir)
     (fun () -> f dir)
 
+(* the in-memory handle of a build, and the prefix it persisted *)
 let build_both dir ~scheme ~mss ~trees =
-  let p3 = Filename.concat dir "ix3" and p4 = Filename.concat dir "ix4" in
-  ignore (Si.build ~format:`Sidx3 ~scheme ~mss ~trees ~prefix:p3 ());
-  ignore (Si.build ~format:`Sidx4 ~scheme ~mss ~trees ~prefix:p4 ());
-  (p3, p4)
+  let p4 = Filename.concat dir "ix4" in
+  let mem = Si.build ~scheme ~mss ~trees ~prefix:p4 () in
+  (mem, p4)
 
-(* ---- differential: SIDX4 = SIDX3 = oracle ------------------------------- *)
+(* ---- differential: SIDX4 = in-memory = oracle --------------------------- *)
 
 let check_differential ~seed ~n ~mss =
   with_dir @@ fun dir ->
   let trees = corpus n seed in
   List.iter
     (fun scheme ->
-      let p3, p4 = build_both dir ~scheme ~mss ~trees in
-      let s3 = ok_exn "open sidx3" (Si.open_ p3) in
+      let mem, p4 = build_both dir ~scheme ~mss ~trees in
       let s4 = ok_exn "open sidx4" (Si.open_ p4) in
-      Alcotest.(check bool) "sidx3 backend" false (Builder.is_mapped (Si.index s3));
+      Alcotest.(check bool) "in-memory backend" false (Builder.is_mapped (Si.index mem));
       Alcotest.(check bool) "sidx4 backend" true (Builder.is_mapped (Si.index s4));
       List.iter
         (fun qstr ->
-          let want = ok_exn ("sidx3 " ^ qstr) (Si.query s3 qstr) in
+          let want = ok_exn ("in-memory " ^ qstr) (Si.query mem qstr) in
           let got = ok_exn ("sidx4 " ^ qstr) (Si.query s4 qstr) in
           Alcotest.(check (list (pair int int)))
-            (Printf.sprintf "%s/%s mss=%d sidx4 = sidx3"
+            (Printf.sprintf "%s/%s mss=%d sidx4 = in-memory"
                (Coding.scheme_to_string scheme) qstr mss)
             want got;
           let oracle = Si.oracle s4 (Si_query.Parser.parse_exn qstr) in
@@ -75,10 +74,10 @@ let check_differential ~seed ~n ~mss =
                (Coding.scheme_to_string scheme) qstr mss)
             oracle got)
         queries;
-      (* sentence output: the store reconstruction = the .dat parse *)
+      (* sentence output: the store reconstruction = the built corpus *)
       for tid = 0 to min 9 (List.length trees - 1) do
         Alcotest.(check string) "sentence"
-          (Si_treebank.Tree.to_string (Si.sentence s3 tid))
+          (Si_treebank.Tree.to_string (Si.sentence mem tid))
           (Si_treebank.Tree.to_string (Si.sentence s4 tid))
       done)
     schemes
@@ -88,7 +87,7 @@ let test_differential_fixed () =
   check_differential ~seed:7 ~n:80 ~mss:2
 
 let prop_differential =
-  QCheck.Test.make ~name:"sidx4 matches sidx3 and oracle (random corpora)"
+  QCheck.Test.make ~name:"sidx4 matches in-memory and oracle (random corpora)"
     ~count:5
     QCheck.(pair (int_range 1 3) small_nat)
     (fun (mss, seed) ->
@@ -320,17 +319,16 @@ let test_missing_store () =
 let test_index_json_backend () =
   with_dir @@ fun dir ->
   let trees = corpus 50 4 in
-  let p3, p4 = build_both dir ~scheme:Coding.Interval ~mss:2 ~trees in
-  let json p = Si_serve.Jsonx.to_string (Si_serve.Metrics.index_json
-                 (ok_exn "open" (Si.open_ p))) in
-  let j3 = json p3 and j4 = json p4 in
+  let mem, p4 = build_both dir ~scheme:Coding.Interval ~mss:2 ~trees in
+  let json si = Si_serve.Jsonx.to_string (Si_serve.Metrics.index_json si) in
+  let j3 = json mem and j4 = json (ok_exn "open" (Si.open_ p4)) in
   let contains hay needle =
     let n = String.length needle and h = String.length hay in
     let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
     go 0
   in
-  Alcotest.(check bool) "sidx3 heap" true (contains j3 "\"backend\":\"heap\"");
-  Alcotest.(check bool) "sidx3 no mapping" true
+  Alcotest.(check bool) "in-memory heap" true (contains j3 "\"backend\":\"heap\"");
+  Alcotest.(check bool) "in-memory no mapping" true
     (contains j3 "\"mapped_bytes\":0");
   Alcotest.(check bool) "sidx4 mapped" true
     (contains j4 "\"backend\":\"mapped\"");
@@ -339,7 +337,7 @@ let test_index_json_backend () =
 
 let suite =
   [
-    Alcotest.test_case "sidx4 = sidx3 = oracle (fixed corpora)" `Quick
+    Alcotest.test_case "sidx4 = in-memory = oracle (fixed corpora)" `Quick
       test_differential_fixed;
     qcheck prop_differential;
     Alcotest.test_case "limits over the mapped backend" `Quick

@@ -75,7 +75,7 @@ let check_fallback_exact ~seed ~n ~mss scheme =
   with_dir @@ fun dir ->
   let trees = corpus n seed in
   let prefix = Filename.concat dir "ix" in
-  ignore (Si.build ~format:`Sidx4 ~scheme ~mss ~trees ~prefix ());
+  ignore (Si.build ~scheme ~mss ~trees ~prefix ());
   let off, len = region_span prefix "postings" in
   flip_byte (prefix ^ ".idx") (off + (len / 2));
   let si = ok_exn "open corrupted" (Si.open_ prefix) in
@@ -115,7 +115,7 @@ let test_fallback_limits () =
   let trees = corpus 100 23 in
   let prefix = Filename.concat dir "ix" in
   ignore
-    (Si.build ~format:`Sidx4 ~scheme:Coding.Interval ~mss:2 ~trees ~prefix ());
+    (Si.build ~scheme:Coding.Interval ~mss:2 ~trees ~prefix ());
   let off, len = region_span prefix "postings" in
   flip_byte (prefix ^ ".idx") (off + (len / 3));
   let si = ok_exn "open" (Si.open_ prefix) in
@@ -146,7 +146,7 @@ let test_scrub_clean () =
   let trees = corpus 80 31 in
   let prefix = Filename.concat dir "ix" in
   ignore
-    (Si.build ~format:`Sidx4 ~scheme:Coding.Root_split ~mss:3 ~trees ~prefix ());
+    (Si.build ~scheme:Coding.Root_split ~mss:3 ~trees ~prefix ());
   let si = ok_exn "open" (Si.open_ prefix) in
   let r = Si.scrub si in
   Alcotest.(check bool) "complete" true r.Scrub.complete;
@@ -174,7 +174,7 @@ let test_scrub_localizes () =
   let trees = corpus 70 37 in
   let prefix = Filename.concat dir "ix" in
   ignore
-    (Si.build ~format:`Sidx4 ~scheme:Coding.Interval ~mss:3 ~trees ~prefix ());
+    (Si.build ~scheme:Coding.Interval ~mss:3 ~trees ~prefix ());
   let off, len = region_span prefix "postings" in
   flip_byte (prefix ^ ".idx") (off + (len / 2));
   let si = ok_exn "open" (Si.open_ prefix) in
@@ -204,7 +204,7 @@ let test_scrub_store_damage () =
   let trees = corpus 60 41 in
   let prefix = Filename.concat dir "ix" in
   ignore
-    (Si.build ~format:`Sidx4 ~scheme:Coding.Interval ~mss:2 ~trees ~prefix ());
+    (Si.build ~scheme:Coding.Interval ~mss:2 ~trees ~prefix ());
   (* flip inside the trees region of the store, clear of its footer *)
   let store = prefix ^ ".trees" in
   let len = String.length (read_file store) in
@@ -227,11 +227,11 @@ let test_scrub_store_damage () =
 let answers si =
   List.map (fun q -> ok_exn q (Si.query si q)) queries
 
-let check_repair ~format ~scheme ~mss ~corrupt_first =
+let check_repair ~scheme ~mss ~corrupt_first =
   with_dir @@ fun dir ->
   let trees = corpus 75 47 in
   let prefix = Filename.concat dir "ix" in
-  ignore (Si.build ~format ~scheme ~mss ~trees ~prefix ());
+  ignore (Si.build ~scheme ~mss ~trees ~prefix ());
   if corrupt_first then begin
     let off, len = region_span prefix "postings" in
     flip_byte (prefix ^ ".idx") (off + (len / 2))
@@ -243,7 +243,7 @@ let check_repair ~format ~scheme ~mss ~corrupt_first =
   let si' = ok_exn "reopen repaired" (Si.open_ prefix) in
   Alcotest.(check bool) "reopened clean" false (Si.quarantined si');
   let fresh_prefix = Filename.concat dir "fresh" in
-  let fresh = Si.build ~format ~scheme ~mss ~trees ~prefix:fresh_prefix () in
+  let fresh = Si.build ~scheme ~mss ~trees ~prefix:fresh_prefix () in
   List.iter2
     (fun got want ->
       Alcotest.(check (list (pair int int)))
@@ -253,17 +253,14 @@ let check_repair ~format ~scheme ~mss ~corrupt_first =
     (answers si')
     (answers fresh);
   (* and the repaired bytes verify end to end *)
-  match Si.format si' with
-  | `Sidx4 ->
-      let r = Si.scrub si' in
-      Alcotest.(check bool) "repaired scrubs clean" true r.Scrub.clean
-  | `Sidx3 -> ()
+  let r = Si.scrub si' in
+  Alcotest.(check bool) "repaired scrubs clean" true r.Scrub.clean
 
 let test_repair_differential () =
   List.iter
     (fun scheme ->
-      check_repair ~format:`Sidx4 ~scheme ~mss:3 ~corrupt_first:true;
-      check_repair ~format:`Sidx3 ~scheme ~mss:2 ~corrupt_first:false)
+      check_repair ~scheme ~mss:3 ~corrupt_first:true;
+      check_repair ~scheme ~mss:2 ~corrupt_first:false)
     schemes
 
 let prop_repair =
@@ -275,7 +272,7 @@ let prop_repair =
           let trees = corpus 40 (seed + 3) in
           let prefix = Filename.concat dir "ix" in
           ignore
-            (Si.build ~format:`Sidx4 ~scheme:Coding.Interval ~mss ~trees
+            (Si.build ~scheme:Coding.Interval ~mss ~trees
                ~prefix ());
           let off, len = region_span prefix "postings" in
           flip_byte (prefix ^ ".idx") (off + (len / 2));
@@ -298,7 +295,7 @@ let test_repair_folds_delta () =
   let extra = corpus 7 59 in
   let prefix = Filename.concat dir "ix" in
   ignore
-    (Si.build ~format:`Sidx4 ~scheme:Coding.Root_split ~mss:3 ~trees ~prefix ());
+    (Si.build ~scheme:Coding.Root_split ~mss:3 ~trees ~prefix ());
   let si = ok_exn "open" (Si.open_ prefix) in
   ignore (ok_exn "insert" (Si.insert si extra));
   let want = answers si in
@@ -316,6 +313,38 @@ let test_repair_folds_delta () =
       Alcotest.(check (list (pair int int))) "post-repair answers" want got)
     (answers si') want
 
+(* Every write path publishes the same four-file set: no corpus copy
+   beside the .trees store, no staging litter left behind. *)
+let test_file_set () =
+  List.iter
+    (fun scheme ->
+      with_dir @@ fun dir ->
+      let prefix = Filename.concat dir "ix" in
+      let files () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+      let four = [ "ix.idx"; "ix.labels"; "ix.meta"; "ix.trees" ] in
+      ignore (Si.build ~scheme ~mss:2 ~trees:(corpus 30 71) ~prefix ());
+      Alcotest.(check (list string)) "after build" four (files ());
+      let si = ok_exn "open" (Si.open_ prefix) in
+      ignore (ok_exn "insert" (Si.insert si (corpus 3 73)));
+      let with_wal = List.sort compare ("ix.wal" :: four) in
+      Alcotest.(check (list string)) "after insert" with_wal (files ());
+      ignore (ok_exn "checkpoint" (Si.checkpoint si));
+      Alcotest.(check (list string)) "after checkpoint" with_wal (files ());
+      ignore (ok_exn "insert again" (Si.insert si (corpus 2 79)));
+      ignore (ok_exn "repair" (Si.repair si));
+      Si.close_wal si;
+      Alcotest.(check (list string)) "after repair" with_wal (files ());
+      let si' = ok_exn "reopen" (Si.open_ prefix) in
+      Alcotest.(check int) "every tree kept" 35 (Corpus.length (Si.corpus si'));
+      List.iter
+        (fun q ->
+          Alcotest.(check (list (pair int int)))
+            (Coding.scheme_to_string scheme ^ " " ^ q)
+            (Si.oracle si' (Si_query.Parser.parse_exn q))
+            (ok_exn q (Si.query si' q)))
+        queries)
+    schemes
+
 let suite =
   [
     Alcotest.test_case "corrupted postings: fallback = oracle" `Quick
@@ -328,9 +357,11 @@ let suite =
       test_scrub_localizes;
     Alcotest.test_case "store damage reported, not quarantined" `Quick
       test_scrub_store_damage;
-    Alcotest.test_case "repair = fresh rebuild (3 codings x 2 formats)" `Quick
+    Alcotest.test_case "repair = fresh rebuild (3 codings x 2 states)" `Quick
       test_repair_differential;
     qcheck prop_repair;
     Alcotest.test_case "repair folds the WAL delta" `Quick
       test_repair_folds_delta;
+    Alcotest.test_case "file set: .idx .trees .labels .meta (+ .wal) only"
+      `Quick test_file_set;
   ]

@@ -1,7 +1,7 @@
 (* Serving-path tests: the bounded decode cache, the block-skip streaming
    cursor, the streaming evaluators' differential against the legacy
-   full-decode path, the parallel batch evaluator, and SIDX3/SIDX2
-   cross-version compatibility. *)
+   full-decode path, the parallel batch evaluator, and blocked postings
+   through an SIDX4 file. *)
 
 open Si_treebank
 open Si_core
@@ -13,7 +13,15 @@ let ok_exn what = function
   | Error e -> Alcotest.failf "%s: unexpected error: %s" what (Si_error.to_string e)
 
 let save_exn b p = ok_exn "save" (Builder.save b p)
-let load_exn p = ok_exn "load" (Builder.load p)
+(* outside {!Si} the caller supplies the corpus that resolves SIDX4
+   interval postings *)
+let load_over d p =
+  let b = ok_exn "load" (Builder.load p) in
+  Builder.set_resolve b (fun tid pre ->
+      let doc = d.(tid) in
+      { Coding.pre; post = doc.Annotated.post.(pre); level = doc.Annotated.level.(pre) });
+  b
+
 let corpus n seed = Si_grammar.Generator.corpus ~seed ~n ()
 let docs trees = Array.of_list (List.map Annotated.of_tree trees)
 
@@ -193,7 +201,7 @@ let check_stream_differential ~seed ~n ~mss =
       (* block_entries=4 forces real multi-block postings on a small corpus;
          the file round trip makes the cursors walk mmap-shaped file bytes *)
       let built = Builder.build ~block_entries:4 ~scheme ~mss d in
-      let index = with_temp (fun p -> save_exn built p; load_exn p) in
+      let index = with_temp (fun p -> save_exn built p; load_over d p) in
       let cache = Cursor.create_cache () in
       let nocache = Cursor.create_cache ~budget:0 () in
       List.iter
@@ -280,7 +288,7 @@ let test_batch_bad_query_slot () =
   ignore (ok_exn "slot 0" batch.Si.answers.(0));
   ignore (ok_exn "slot 2" batch.Si.answers.(2))
 
-(* ---- SIDX3 on-disk format and cross-version compatibility -------------- *)
+(* ---- blocked postings through the SIDX4 file --------------------------- *)
 
 let check_same_postings what a b =
   Alcotest.(check int) (what ^ ": keys") (Builder.n_keys a) (Builder.n_keys b);
@@ -294,39 +302,20 @@ let test_v3_blocked_file_roundtrip () =
   List.iter
     (fun scheme ->
       let b = Builder.build ~block_entries:4 ~scheme ~mss:2 d in
-      let b' = with_temp (fun p -> save_exn b p; load_exn p) in
-      (* the saved file kept the forced blocking: some key spans > 1 block *)
+      let b' = with_temp (fun p -> save_exn b p; load_over d p) in
+      (* the saved file kept the forced blocking: some key spans > 1 block
+         (interval postings re-encoded as v4 keep the block size) *)
       Alcotest.(check bool) "multi-block keys present" true
         (List.exists (fun (nb, _) -> nb > 1) (Builder.block_histogram b'));
-      check_same_postings "v3 blocked roundtrip" b b')
-    schemes
-
-let test_sidx2_back_compat () =
-  let d = docs (corpus 60 67) in
-  List.iter
-    (fun scheme ->
-      let b = Builder.build ~scheme ~mss:3 d in
-      (* an SIDX2 file still loads, decodes and answers identically *)
-      let via_v2 =
-        with_temp (fun p -> ok_exn "save_v2" (Builder.save_v2 b p); load_exn p)
-      in
-      check_same_postings "SIDX2 load" b via_v2;
+      check_same_postings "blocked roundtrip" b b';
       let cache = Cursor.create_cache () in
       List.iter
         (fun q ->
           Alcotest.(check (list (pair int int)))
-            ("SIDX2 streaming: " ^ Si_query.Ast.to_string q)
+            ("mapped streaming: " ^ Si_query.Ast.to_string q)
             (Eval.run_exn ~index:b ~corpus:(Corpus.of_array d) q)
-            (Eval.run_exn ~index:via_v2 ~corpus:(Corpus.of_array d) ~cache q))
-        queries;
-      (* saving a V2-loaded index re-encodes to SIDX3 without loss *)
-      let reconverted = with_temp (fun p -> save_exn via_v2 p; load_exn p) in
-      check_same_postings "v2 -> v3 conversion" b reconverted;
-      (* and a built index still writes a loadable SIDX2 on request *)
-      let down =
-        with_temp (fun p -> ok_exn "save_v2" (Builder.save_v2 reconverted p); load_exn p)
-      in
-      check_same_postings "v3 -> v2 conversion" b down)
+            (Eval.run_exn ~index:b' ~corpus:(Corpus.of_array d) ~cache q))
+        queries)
     schemes
 
 (* ---- v3 codec: flat/blocked threshold and layout ------------------------ *)
@@ -353,7 +342,6 @@ let test_pack_v3_layout () =
   let p', off = Coding.unpack_v3 Coding.Filter ~key_size:1 (Coding.str s) 0 in
   Alcotest.(check bool) "unpack_v3 = posting" true (p' = posting);
   Alcotest.(check int) "consumed all" (String.length s) off;
-  Alcotest.(check int) "packed_entries_v3" 23 (Coding.packed_entries_v3 (Coding.str s) 0);
   (* at or under the threshold the body stays flat: one pseudo-block *)
   let buf = Buffer.create 64 in
   Coding.pack_v3 ~block_entries:32 buf posting;
@@ -381,8 +369,7 @@ let suite =
       test_stream_differential_fixed;
     Alcotest.test_case "parallel batch = sequential" `Slow test_batch_parallel;
     Alcotest.test_case "batch isolates bad query" `Quick test_batch_bad_query_slot;
-    Alcotest.test_case "SIDX3 blocked file roundtrip" `Quick
+    Alcotest.test_case "SIDX4 blocked file roundtrip" `Quick
       test_v3_blocked_file_roundtrip;
-    Alcotest.test_case "SIDX2 back-compat + conversion" `Slow test_sidx2_back_compat;
     Alcotest.test_case "pack_v3 layout (flat/blocked)" `Quick test_pack_v3_layout;
   ]

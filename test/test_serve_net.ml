@@ -30,7 +30,7 @@ let temp_prefix tag =
 let rm_prefix p =
   List.iter
     (fun ext -> try Sys.remove (p ^ ext) with Sys_error _ -> ())
-    [ ".idx"; ".dat"; ".labels"; ".meta" ]
+    [ ".idx"; ".trees"; ".labels"; ".meta"; ".wal" ]
 
 let build_prefix ~seed ~n tag =
   let prefix = temp_prefix tag in

@@ -20,7 +20,7 @@ let temp_prefix tag =
   Sys.remove base;
   base
 
-let exts = [ ".idx"; ".dat"; ".labels"; ".meta"; ".trees"; ".wal" ]
+let exts = [ ".idx"; ".labels"; ".meta"; ".trees"; ".wal" ]
 
 let rm_sharded p =
   List.iter (fun ext -> try Sys.remove (p ^ ext) with Sys_error _ -> ()) exts;
@@ -46,7 +46,6 @@ let query_strings =
     "S(//NP)(//VP(VBD))";
   ]
 
-let containers = [ `Sidx3; `Sidx4 ]
 let schemes = [ Coding.Filter; Coding.Interval; Coding.Root_split ]
 
 (* ---- router / manifest --------------------------------------------------- *)
@@ -110,12 +109,11 @@ let test_manifest_refusals () =
 
 (* ---- build / open / query ------------------------------------------------ *)
 
-let build_pair ?(shards = 3) ?(scheme = Coding.Root_split) ?(format = `Sidx3)
-    ~n ~seed p =
+let build_pair ?(shards = 3) ?(scheme = Coding.Root_split) ~n ~seed p =
   let trees = corpus n seed in
   let sh =
     ok_exn "build_sharded"
-      (Si.build_sharded ~shards ~scheme ~mss:3 ~format ~trees p)
+      (Si.build_sharded ~shards ~scheme ~mss:3 ~trees p)
   in
   let single = Si.build ~scheme ~mss:3 ~trees () in
   (trees, sh, single)
@@ -175,59 +173,53 @@ let qcheck_differential =
     (fun (n, shards, seed) ->
       List.iter
         (fun scheme ->
-          List.iter
-            (fun format ->
-              let tag =
-                Printf.sprintf "%s-%s-%d"
-                  (Coding.scheme_to_string scheme)
-                  (match format with `Sidx3 -> "heap" | `Sidx4 -> "mapped")
-                  shards
+          let tag =
+            Printf.sprintf "%s-%d" (Coding.scheme_to_string scheme) shards
+          in
+          let p = temp_prefix "qc" in
+          Fun.protect ~finally:(fun () -> rm_sharded p) (fun () ->
+              let trees = corpus n (seed + 1) in
+              let sh =
+                match
+                  Si.build_sharded ~shards ~scheme ~mss:3 ~trees p
+                with
+                | Ok sh -> sh
+                | Error e ->
+                    QCheck.Test.fail_reportf "%s: build_sharded: %s" tag
+                      (Si_error.to_string e)
               in
-              let p = temp_prefix "qc" in
-              Fun.protect ~finally:(fun () -> rm_sharded p) (fun () ->
-                  let trees = corpus n (seed + 1) in
-                  let sh =
-                    match
-                      Si.build_sharded ~shards ~scheme ~mss:3 ~format ~trees p
-                    with
-                    | Ok sh -> sh
-                    | Error e ->
-                        QCheck.Test.fail_reportf "%s: build_sharded: %s" tag
-                          (Si_error.to_string e)
+              let single = Si.build ~scheme ~mss:3 ~trees () in
+              let reopened =
+                match Si.open_sharded p with
+                | Ok h -> h
+                | Error e ->
+                    QCheck.Test.fail_reportf "%s: open_sharded: %s" tag
+                      (Si_error.to_string e)
+              in
+              List.iter
+                (fun q ->
+                  let want =
+                    ok_exn "single" (Si.query single q)
                   in
-                  let single = Si.build ~scheme ~mss:3 ~trees () in
-                  let reopened =
-                    match Si.open_sharded p with
-                    | Ok h -> h
-                    | Error e ->
-                        QCheck.Test.fail_reportf "%s: open_sharded: %s" tag
-                          (Si_error.to_string e)
+                  let fresh = ok_exn "built" (Si.query_sharded sh q) in
+                  let disk =
+                    ok_exn "reopened" (Si.query_sharded reopened q)
                   in
-                  List.iter
-                    (fun q ->
-                      let want =
-                        ok_exn "single" (Si.query single q)
-                      in
-                      let fresh = ok_exn "built" (Si.query_sharded sh q) in
-                      let disk =
-                        ok_exn "reopened" (Si.query_sharded reopened q)
-                      in
-                      if fresh <> want then
-                        QCheck.Test.fail_reportf
-                          "%s: %s: built sharded diverges (%d vs %d)" tag q
-                          (List.length fresh) (List.length want);
-                      if disk <> want then
-                        QCheck.Test.fail_reportf
-                          "%s: %s: reopened sharded diverges (%d vs %d)" tag q
-                          (List.length disk) (List.length want);
-                      (* and the sharded oracle agrees with the plain one *)
-                      let ast = Si_query.Parser.parse_exn q in
-                      if Si.oracle_sharded reopened ast <> Si.oracle single ast
-                      then
-                        QCheck.Test.fail_reportf "%s: %s: oracle diverges" tag
-                          q)
-                    query_strings))
-            containers)
+                  if fresh <> want then
+                    QCheck.Test.fail_reportf
+                      "%s: %s: built sharded diverges (%d vs %d)" tag q
+                      (List.length fresh) (List.length want);
+                  if disk <> want then
+                    QCheck.Test.fail_reportf
+                      "%s: %s: reopened sharded diverges (%d vs %d)" tag q
+                      (List.length disk) (List.length want);
+                  (* and the sharded oracle agrees with the plain one *)
+                  let ast = Si_query.Parser.parse_exn q in
+                  if Si.oracle_sharded reopened ast <> Si.oracle single ast
+                  then
+                    QCheck.Test.fail_reportf "%s: %s: oracle diverges" tag
+                      q)
+                query_strings))
         schemes;
       true)
 

@@ -3,7 +3,7 @@
    replay into the delta index, checkpoint merge equivalence across every
    crash window, and the differential pin: a corpus of N trees plus K
    inserted through the WAL answers every query identically to a full
-   rebuild over N+K — all three codings, heap and mapped containers. *)
+   rebuild over N+K — all three codings. *)
 
 open Si_treebank
 open Si_core
@@ -25,7 +25,7 @@ let temp_prefix tag =
 let rm_prefix p =
   List.iter
     (fun ext -> try Sys.remove (p ^ ext) with Sys_error _ -> ())
-    [ ".idx"; ".dat"; ".labels"; ".meta"; ".trees"; ".wal" ]
+    [ ".idx"; ".labels"; ".meta"; ".trees"; ".wal" ]
 
 let with_prefix tag f =
   let p = temp_prefix tag in
@@ -304,9 +304,9 @@ let test_checkpoint_crash_windows () =
           | Ok _ -> Alcotest.fail "tid gap must refuse to open"))
 
 let test_insert_durable_before_ack () =
-  (* the WAL write path fires its failpoints in order: a crash before the
-     frame hits the file loses the tree (never acknowledged), a crash
-     after the write keeps it — either way the index reopens cleanly *)
+  (* a failed append is rolled back: whether the write or the fsync
+     failed, the unacknowledged record is gone from the log and the index
+     reopens cleanly without it *)
   with_prefix "dur" (fun p ->
       let base = corpus 20 41 in
       let extra = corpus 2 43 in
@@ -325,9 +325,8 @@ let test_insert_durable_before_ack () =
           Alcotest.(check int) "unacknowledged insert lost whole" 0
             (Si.pending r);
           check_oracle "clean after aborted append" r;
-          (* after the write, before the fsync: the record is in the file
-             (the kernel may or may not have persisted it — both outcomes
-             are legal, and this file did receive the write) *)
+          (* after the write, before the fsync: the frames reached the
+             file, and the rollback cuts them off again *)
           Failpoint.arm_exn "wal.append.fsync=fail@1";
           let si = ok_exn "open 2" (Si.open_ p) in
           (match Si.insert si [ List.hd extra ] with
@@ -337,20 +336,43 @@ let test_insert_durable_before_ack () =
           Si.close_wal si;
           Failpoint.clear ();
           let r = ok_exn "reopen 2" (Si.open_ p) in
-          Alcotest.(check int) "written record replays" 1 (Si.pending r);
+          Alcotest.(check int) "unacknowledged record rolled back" 0
+            (Si.pending r);
           check_oracle "consistent after aborted fsync" r))
+
+(* The handle keeps inserting after a failed one: the acknowledged tree
+   must be the one a reopen replays — never the failed tree in front of
+   it under the same tid (which would surface the unacknowledged tree and
+   skip the acknowledged one as already covered). *)
+let test_insert_after_failed_insert () =
+  with_prefix "retry" (fun p ->
+      let base = corpus 20 41 in
+      let failed = List.hd (corpus 1 45) and acked = List.hd (corpus 1 47) in
+      ignore
+        (Si.build ~scheme:Coding.Root_split ~mss:3 ~trees:base ~prefix:p ());
+      let si = ok_exn "open" (Si.open_ p) in
+      Fun.protect ~finally:Failpoint.clear (fun () ->
+          Failpoint.arm_exn "wal.append.fsync=fail@1";
+          (match Si.insert si [ failed ] with
+          | Error (Si_error.Internal _) -> ()
+          | Error e -> Alcotest.failf "wrong error: %s" (Si_error.to_string e)
+          | Ok _ -> Alcotest.fail "armed fsync must abort"));
+      Alcotest.(check int) "acknowledged insert" 21
+        (ok_exn "insert after failure" (Si.insert si [ acked ]));
+      Si.close_wal si;
+      let r = ok_exn "reopen" (Si.open_ p) in
+      Alcotest.(check int) "exactly the acknowledged tree replays" 1
+        (Si.pending r);
+      Alcotest.(check string) "the replayed tree is the acknowledged one"
+        (Tree.to_string acked)
+        (Tree.to_string (Si.sentence r 20));
+      check_oracle "replayed after a failed insert" r;
+      let want = Si.build ~scheme:Coding.Root_split ~mss:3 ~trees:(base @ [ acked ]) () in
+      check_queries "replay = rebuild" r want)
 
 (* ---- the differential pin ----------------------------------------------- *)
 
-let containers =
-  [
-    (Coding.Filter, `Sidx3);
-    (Coding.Interval, `Sidx3);
-    (Coding.Root_split, `Sidx3);
-    (Coding.Filter, `Sidx4);
-    (Coding.Interval, `Sidx4);
-    (Coding.Root_split, `Sidx4);
-  ]
+let schemes = [ Coding.Filter; Coding.Interval; Coding.Root_split ]
 
 (* Split [l] into consecutive non-empty chunks of the given sizes. *)
 let rec chunks sizes l =
@@ -378,12 +400,8 @@ let prop_incremental_equals_rebuild =
     QCheck.(triple (int_range 10 40) (int_range 1 8) small_nat)
     (fun (n, k, seed) ->
       List.iter
-        (fun (scheme, format) ->
-          let tag =
-            Printf.sprintf "%s-%s"
-              (Coding.scheme_to_string scheme)
-              (match format with `Sidx3 -> "heap" | `Sidx4 -> "mapped")
-          in
+        (fun scheme ->
+          let tag = Coding.scheme_to_string scheme in
           let base = corpus n (seed + 1) in
           let extra = corpus k (seed + 101) in
           let full = Si.build ~scheme ~mss:3 ~trees:(base @ extra) () in
@@ -404,7 +422,7 @@ let prop_incremental_equals_rebuild =
              and return the [.idx] the checkpoint publishes *)
           let checkpointed_idx sizes =
             with_prefix "diff" (fun p ->
-                ignore (Si.build ~scheme ~mss:3 ~format ~trees:base ~prefix:p ());
+                ignore (Si.build ~scheme ~mss:3 ~trees:base ~prefix:p ());
                 let si = ok_exn "open" (Si.open_ p) in
                 let total =
                   List.fold_left
@@ -431,7 +449,7 @@ let prop_incremental_equals_rebuild =
               ("one-at-a-time", List.init k (fun _ -> 1));
               ("randomly split", random_split (Random.State.make [| seed |]) k);
             ])
-        containers;
+        schemes;
       true)
 
 (* A reader domain querying while the writer inserts one tree per call
@@ -441,11 +459,11 @@ let prop_incremental_equals_rebuild =
    earlier one. *)
 let test_snapshot_isolation () =
   List.iter
-    (fun (scheme, format) ->
+    (fun scheme ->
       with_prefix "iso" (fun p ->
           let base = corpus 30 61 and extra = corpus 24 62 in
           let n = List.length base and k = List.length extra in
-          ignore (Si.build ~scheme ~mss:3 ~format ~trees:base ~prefix:p ());
+          ignore (Si.build ~scheme ~mss:3 ~trees:base ~prefix:p ());
           let si = ok_exn "open" (Si.open_ p) in
           let docs = Array.of_list (List.map Annotated.of_tree (base @ extra)) in
           let queries = Array.of_list query_strings in
@@ -488,7 +506,7 @@ let test_snapshot_isolation () =
           Si.close_wal si;
           Alcotest.(check bool) "reader answered" true (answers > 0);
           Alcotest.(check int) "last round sees every insert" k j))
-    [ (Coding.Root_split, `Sidx4); (Coding.Filter, `Sidx3) ]
+    [ Coding.Root_split; Coding.Filter ]
 
 let suite =
   [
@@ -505,6 +523,8 @@ let suite =
       test_checkpoint_crash_windows;
     Alcotest.test_case "insert: durability windows around the fsync" `Quick
       test_insert_durable_before_ack;
+    Alcotest.test_case "insert: a failed insert leaves no frame behind" `Quick
+      test_insert_after_failed_insert;
     qcheck prop_incremental_equals_rebuild;
     Alcotest.test_case "insert: readers see whole snapshots, in order" `Quick
       test_snapshot_isolation;

@@ -40,11 +40,11 @@ echo "$TREE" > "$DIR/extra.penn"
 PRE=$("$TOOL" query --prefix "$PFX" "$Q" | head -1 | awk '{print $1}')
 POST=$((PRE + 1))
 
-for ext in .idx .dat .labels .meta; do
+for ext in .idx .trees .labels .meta; do
   cp "$PFX$ext" "$DIR/pristine$ext"
 done
 reset_state() {
-  for ext in .idx .dat .labels .meta; do
+  for ext in .idx .trees .labels .meta; do
     cp "$DIR/pristine$ext" "$PFX$ext"
   done
   rm -f "$PFX.wal"
